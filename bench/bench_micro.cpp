@@ -96,17 +96,20 @@ void BM_AnalyticCostModel(benchmark::State& state) {
 BENCHMARK(BM_AnalyticCostModel);
 
 void BM_TraceSimulation(benchmark::State& state) {
-  sim::LoopNest nest;
-  nest.name = "mm";
   const std::int64_t n = state.range(0);
-  nest.loops = {{"i", n, 1.0}, {"j", n, 1.0}, {"k", n, 1.0}};
-  nest.arrays = {{"C", {n, n}, 8}, {"A", {n, n}, 8}, {"B", {n, n}, 8}};
   sim::Statement s;
   s.depth = 3;
   s.refs = {{0, {sim::idx(0), sim::idx(1)}, true},
             {1, {sim::idx(0), sim::idx(2)}, false},
             {2, {sim::idx(2), sim::idx(1)}, false}};
-  nest.stmts = {s};
+  // Built in one initializer: assigning the name afterwards trips a
+  // -Wmaybe-uninitialized false positive in gcc 12's UBSan builds.
+  const sim::LoopNest nest{
+      .name = "mm",
+      .loops = {{"i", n, 1.0}, {"j", n, 1.0}, {"k", n, 1.0}},
+      .arrays = {{"C", {n, n}, 8}, {"A", {n, n}, 8}, {"B", {n, n}, 8}},
+      .stmts = {s},
+  };
   const std::vector<sim::CacheLevelSpec> hierarchy{
       {"L1", 32 * 1024, 64, 8, 4, false, 0.0}};
   for (auto _ : state) {

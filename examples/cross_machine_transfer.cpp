@@ -1,23 +1,18 @@
 // The paper's headline workflow: reuse autotuning data from one machine to
-// accelerate the search on another — driven through the session API.
+// accelerate the search on another.
 //
 //   1. describe the transfer once with apps::TuningConfig (problem,
 //      source/target machines, budget, CRN seed),
-//   2. open a tuner::ExperimentSession over the two evaluator stacks and
-//      run the full Sec. IV-D protocol: RS on the source (-> T_a), a
+//   2. run the full Sec. IV-D protocol with tuner::run_transfer_experiment
+//      over the two evaluator stacks: RS on the source (-> T_a), a
 //      random-forest surrogate fitted on T_a, the surrogate-guided
 //      searches RS_p (pruning, Algorithm 1) and RS_b (biasing,
 //      Algorithm 2) on the target, and the model-free controls,
 //   3. report the performance and search-time speedups of Sec. IV-D.
-//
-// The legacy free function tuner::run_transfer_experiment() still exists
-// and is exactly this: a thin adapter that opens one ExperimentSession
-// and runs it (examples/guarded_transfer.cpp keeps using it as the
-// compatibility witness).
 #include <cstdio>
 
 #include "apps/tuning_config.hpp"
-#include "tuner/session.hpp"
+#include "tuner/experiment.hpp"
 
 int main() {
   using namespace portatune;
@@ -29,9 +24,8 @@ int main() {
 
   // nmax=100, N=10000, delta=20% — the builder's validated defaults.
   const tuner::ExperimentSettings settings = cfg.experiment_settings();
-  tuner::ExperimentSession session(*westmere, *sandybridge, settings,
-                                   "lu-westmere-to-sandybridge");
-  const auto result = session.run();
+  const auto result =
+      tuner::run_transfer_experiment(*westmere, *sandybridge, settings);
 
   std::printf("LU: Westmere -> Sandybridge transfer\n");
   std::printf("run-time correlation over the shared RS configurations:\n");

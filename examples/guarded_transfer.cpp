@@ -10,13 +10,6 @@
 // plus the guard's state-transition timeline. The guarded searches
 // bound the worst-case regression: once trust collapses they degenerate
 // to plain RS instead of following the misleading model to the end.
-//
-// Compatibility witness: this example deliberately stays on the legacy
-// free-function entry point (tuner::run_transfer_experiment) rather than
-// the session API the other examples migrated to. It pins the promise
-// that the free functions keep working unchanged — they are thin
-// adapters over tuner::ExperimentSession now, and this driver's output
-// must not move when that adapter evolves.
 #include <cstdio>
 
 #include "kernels/sim_evaluator.hpp"

@@ -88,11 +88,11 @@ class ObservedEvaluator final : public tuner::Evaluator {
     // Open a span for the evaluation so events emitted by the inner
     // layers (and the eval event below) nest under this call.
     std::uint64_t span_id = 0, parent_id = 0;
-    std::optional<SpanScope> scope;
+    SpanScope scope;
     if (enabled(Severity::Debug)) {
       span_id = next_span_id();
       parent_id = current_span_context().span;
-      scope.emplace(SpanContext{span_id});
+      scope.enter(SpanContext{span_id});
     }
     const tuner::EvalResult r = inner_.evaluate(config);
     const double latency = timer.seconds();

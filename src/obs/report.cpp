@@ -443,13 +443,18 @@ void write_comparison(std::ostream& os, const Comparison& c) {
     pad_to(os, "name", w);
     os << "     baseline      current     delta\n";
   }
+  // Every column starts with a separator, so values wider than their
+  // column (e.g. >= 1e6 seconds) still read apart.
   for (const auto& row : c.rows) {
     os << "  ";
     pad_to(os, row.name, w);
-    pad_left(os, fmt_seconds(row.baseline), 13);
-    pad_left(os, fmt_seconds(row.current), 13);
+    os << ' ';
+    pad_left(os, fmt_seconds(row.baseline), 12);
+    os << ' ';
+    pad_left(os, fmt_seconds(row.current), 12);
     std::snprintf(buf, sizeof buf, "%+.1f%%", row.delta_percent);
-    pad_left(os, buf, 10);
+    os << ' ';
+    pad_left(os, buf, 9);
     if (row.regressed) os << "  REGRESSED";
     os << "\n";
   }

@@ -17,7 +17,6 @@
 // event, and children should attach to the nearest emitted ancestor.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,7 +44,7 @@ class ScopedTimer {
     if (enabled(severity_)) {
       span_id_ = next_span_id();
       parent_span_id_ = current_span_context().span;
-      scope_.emplace(SpanContext{span_id_});
+      scope_.enter(SpanContext{span_id_});
     }
     timer_.reset();
   }
@@ -87,7 +86,7 @@ class ScopedTimer {
   std::uint64_t parent_span_id_ = 0;
   std::string name_, category_;
   std::vector<Field> fields_;
-  std::optional<SpanScope> scope_;
+  SpanScope scope_;
   WallTimer timer_;
 };
 

@@ -1,7 +1,6 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -465,8 +464,8 @@ ProtocolReply ServiceProtocol::handle_line(const std::string& line) {
   // threads — parents under this request in the trace tree.
   const std::uint64_t span_id = tracing ? next_span_id() : 0;
   const std::uint64_t parent_span = current_span_context().span;
-  std::optional<SpanScope> scope;
-  if (tracing) scope.emplace(SpanContext{span_id});
+  SpanScope scope;
+  if (tracing) scope.enter(SpanContext{span_id});
 
   std::string op = "invalid";
   std::string session_id;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -386,13 +385,13 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
             const bool tracing = obs::enabled(obs::Severity::Info);
             const double t0 = tracing ? obs::mono_now() : 0.0;
             const std::uint64_t span_id = tracing ? next_span_id() : 0;
-            std::optional<SpanScope> scope;
-            if (tracing) scope.emplace(SpanContext{span_id});
+            SpanScope scope;
+            if (tracing) scope.enter(SpanContext{span_id});
             if (telemetry) wire.requests_in_flight->set(1.0);
             const ProtocolReply reply = protocol.handle_line(line);
             if (telemetry) wire.requests_in_flight->set(0.0);
             if (tracing) {
-              scope.reset();
+              scope.leave();
               obs::Event ev = obs::make_span(
                   obs::Severity::Info, "server.request", "service",
                   obs::mono_now() - t0,

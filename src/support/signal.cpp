@@ -55,7 +55,9 @@ std::atomic<int> g_signal_pipe_fd{-1};
 volatile std::sig_atomic_t g_signals_seen = 0;
 
 extern "C" void shutdown_signal_handler(int signo) {
-  if (g_signals_seen++ > 0) {
+  const std::sig_atomic_t seen = g_signals_seen;
+  g_signals_seen = seen + 1;
+  if (seen > 0) {
     // Second signal: cooperative shutdown is taking too long (or is
     // itself stuck) — force-exit with the conventional signal status.
     _exit(128 + signo);

@@ -51,20 +51,34 @@ inline std::uint64_t next_span_id() noexcept {
 
 /// RAII: install `ctx` as the current context, restore the previous one
 /// on destruction. Used both to *open* a span (ctx = the new span's id)
-/// and to *adopt* a captured context on a worker thread.
+/// and to *adopt* a captured context on a worker thread. A
+/// default-constructed scope is inert until enter(), for spans that open
+/// only when tracing is on; an inert scope touches no thread-local.
 class SpanScope {
  public:
-  explicit SpanScope(SpanContext ctx) noexcept
-      : previous_(detail::t_span_context) {
-    detail::t_span_context = ctx;
-  }
-  ~SpanScope() { detail::t_span_context = previous_; }
+  SpanScope() noexcept = default;
+  explicit SpanScope(SpanContext ctx) noexcept { enter(ctx); }
+  ~SpanScope() { leave(); }
 
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
+  /// Install `ctx`. At most once per scope (or once after each leave()).
+  void enter(SpanContext ctx) noexcept {
+    previous_ = detail::t_span_context;
+    detail::t_span_context = ctx;
+    entered_ = true;
+  }
+  /// Restore the previous context now instead of at destruction.
+  void leave() noexcept {
+    if (!entered_) return;
+    detail::t_span_context = previous_;
+    entered_ = false;
+  }
+
  private:
-  SpanContext previous_;
+  SpanContext previous_{};
+  bool entered_ = false;
 };
 
 }  // namespace portatune

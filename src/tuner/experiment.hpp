@@ -10,6 +10,12 @@
 //   5. run the model-free controls RS_pf and RS_bf,
 //   6. compute correlations (Fig. 1 / third columns of Figs. 3-5) and the
 //      speedups of Table IV/V.
+//
+// run_transfer_experiment is the protocol's one engine: the CLI, the
+// journaled experiment runner, the bench drivers and the examples all
+// call it, and run_transfer_experiments fans independent cells of a grid
+// out over worker threads. The searches it runs share one ranked pool
+// and one evaluation-window loop (tuner/search_loop.hpp).
 #pragma once
 
 #include <functional>
@@ -123,6 +129,9 @@ struct TransferExperimentResult {
 
 /// Run the full protocol. `source` and `target` must expose identical
 /// parameter spaces (the paper's fixed-D assumption); this is enforced.
+/// The run is one "experiment.transfer" span with a "phase.<name>" span
+/// per phase; cancellation and the crash-safety hooks behave as
+/// documented on ExperimentSettings.
 TransferExperimentResult run_transfer_experiment(
     Evaluator& source, Evaluator& target, const ExperimentSettings& settings);
 

@@ -7,9 +7,8 @@
 #include <unordered_map>
 
 #include "support/error.hpp"
-#include "support/stats.hpp"
 #include "tuner/observe.hpp"
-#include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 
 namespace portatune::tuner {
 
@@ -28,21 +27,14 @@ std::vector<ParamConfig> seeded_starts(const ParamSpace& space,
       out.push_back(space.random_config(rng));
     return out;
   }
-  ConfigStream stream(space, rng());
-  std::vector<ParamConfig> pool;
-  while (pool.size() < pool_size) {
-    auto c = stream.next();
-    if (!c) break;
-    pool.push_back(std::move(*c));
-  }
-  PT_REQUIRE(!pool.empty(), "empty seeding pool");
-  std::vector<double> pred(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i)
-    pred[i] = surrogate->predict(space.features(pool[i]));
-  const auto order = argsort(pred);
+  RankedPool pool(space, pool_size, rng());
+  pool.rank(*surrogate);
   std::vector<ParamConfig> out;
-  for (std::size_t i = 0; i < order.size() && out.size() < count; ++i)
-    out.push_back(pool[order[i]]);
+  while (out.size() < count) {
+    const std::optional<std::size_t> pick = pool.next();
+    if (!pick) break;
+    out.push_back(pool.config(*pick));
+  }
   return out;
 }
 
@@ -65,16 +57,11 @@ class BudgetedEvaluator {
     if (const auto it = cache_.find(h); it != cache_.end())
       return it->second;  // duplicate: return known value, no budget spent
     const EvalResult r = eval_.evaluate(c);
-    trace_.note_result(r);
-    if (!r.ok) {
-      if (budget_.note(r)) trace_.set_stop_reason(budget_.reason());
-      cache_.emplace(h, std::nullopt);
-      return std::nullopt;
-    }
-    budget_.note(r);
-    trace_.record(c, r.seconds, trace_.size());
-    cache_.emplace(h, r.seconds);
-    return r.seconds;
+    account_result(trace_, budget_, r, c, trace_.size());
+    const std::optional<double> y =
+        r.ok ? std::optional<double>(r.seconds) : std::nullopt;
+    cache_.emplace(h, y);
+    return y;
   }
 
  private:

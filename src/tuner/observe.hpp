@@ -10,7 +10,6 @@
 // hot loops cost nothing with observability disabled.
 #pragma once
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -31,7 +30,7 @@ class SearchSpanGuard {
     if (!active_) return;
     span_id_ = next_span_id();
     parent_span_id_ = current_span_context().span;
-    scope_.emplace(SpanContext{span_id_});
+    scope_.enter(SpanContext{span_id_});
     timer_.reset();
   }
 
@@ -67,7 +66,7 @@ class SearchSpanGuard {
   bool active_;
   std::uint64_t span_id_ = 0;
   std::uint64_t parent_span_id_ = 0;
-  std::optional<SpanScope> scope_;
+  SpanScope scope_;
   WallTimer timer_;
 };
 

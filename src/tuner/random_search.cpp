@@ -1,42 +1,21 @@
 #include "tuner/random_search.hpp"
 
 #include <algorithm>
-
 #include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "tuner/guard.hpp"
 #include "tuner/observe.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
 
 namespace {
-
-/// Account a result on trace + budget. Returns true when the search must
-/// abort (budget newly exhausted); records the diagnostic on the trace.
-bool abort_on_failure(SearchTrace& trace, FailureBudgetTracker& budget,
-                      const EvalResult& r) {
-  trace.note_result(r);
-  if (!budget.note(r)) return false;
-  trace.set_stop_reason(budget.reason());
-  return true;
-}
-
-/// Evaluation window width for the batched search loops. A plain
-/// evaluator advertises width 1, which collapses every window to a single
-/// draw and reproduces the historical serial loops instruction for
-/// instruction; a ParallelEvaluator widens the window to keep its pool
-/// busy. Trace parity holds either way because windows are always
-/// processed in draw order.
-std::size_t batch_width(const Evaluator& eval) {
-  return std::max<std::size_t>(1, eval.capabilities().preferred_batch);
-}
 
 /// Window width for the guarded search loops. With the guard enabled the
 /// width is pinned to GuardOptions::sync_window instead of the
@@ -51,42 +30,6 @@ std::size_t guarded_batch_width(const Evaluator& eval,
                                 const GuardOptions& guard) {
   if (!guard.enabled) return batch_width(eval);
   return std::max<std::size_t>(1, guard.sync_window);
-}
-
-/// Evaluate one search window under a "search.window" span: the causal
-/// parent of every evaluation it fans out, across worker threads (the
-/// ThreadPool carries the SpanContext into each task). `evals_done` is
-/// the trace size going in, so a trace viewer can line windows up with
-/// search progress. Dormant path: one enabled() check, no allocation.
-std::vector<EvalResult> evaluate_window(Evaluator& eval,
-                                        std::span<const ParamConfig> configs,
-                                        std::size_t evals_done) {
-  std::optional<obs::ScopedTimer> span;
-  if (obs::enabled(obs::Severity::Debug))
-    span.emplace("search.window", "search",
-                 std::vector<obs::Field>{{"window", configs.size()},
-                                         {"evals_done", evals_done}},
-                 nullptr, obs::Severity::Debug);
-  return eval.evaluate_batch(configs);
-}
-
-/// Order-preserving batch prediction over a candidate pool. predict() is
-/// a pure const read of the fitted model, so fanning it out over the
-/// shared pool is deterministic: pred[i] depends only on configs[i].
-/// Small pools stay serial — dispatch would cost more than it saves.
-std::vector<double> predict_all(const ml::Regressor& model,
-                                const ParamSpace& space,
-                                const std::vector<ParamConfig>& configs) {
-  std::vector<double> pred(configs.size());
-  const auto body = [&](std::size_t i) {
-    pred[i] = model.predict(space.features(configs[i]));
-  };
-  constexpr std::size_t kParallelThreshold = 256;
-  if (configs.size() >= kParallelThreshold)
-    ThreadPool::global().parallel_for(0, configs.size(), body);
-  else
-    for (std::size_t i = 0; i < configs.size(); ++i) body(i);
-  return pred;
 }
 
 }  // namespace
@@ -155,45 +98,22 @@ SearchTrace random_search(Evaluator& eval, const RandomSearchOptions& opt) {
     std::vector<std::size_t> draw_idx;
     configs.reserve(want);
     draw_idx.reserve(want);
-    while (configs.size() < want) {
-      auto config = stream.next();
-      if (!config) {
-        space_exhausted = true;
-        break;
-      }
-      draw_idx.push_back(stream.produced() - 1);
-      configs.push_back(std::move(*config));
-    }
+    const std::size_t first_draw = stream.produced();
+    space_exhausted = stream.take(want, configs) < want;
     if (configs.empty()) break;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+      draw_idx.push_back(first_draw + i);
 
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    // Strictly draw order, regardless of completion order inside the
-    // batch — this is what keeps parallel traces bit-identical to serial.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      consumed = draw_idx[i] + 1;
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) {
-          // The serial search would have stopped drawing here; results
-          // after the aborting draw are discarded unseen.
-          if (opt.on_checkpoint) take_checkpoint();
-          return trace;
-        }
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, draw_idx[i]);
-      maybe_checkpoint();
-    }
-    // A short result vector means the window was cancelled mid-flight:
-    // the accounted prefix is consistent (draw order, `consumed` points
-    // at the first unprocessed draw), the tail never happened.
-    if (results.size() < configs.size()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
+    // On an abort or a mid-window cancellation `consumed` points at the
+    // first unprocessed draw: the serial search would have stopped
+    // drawing there, so later results are discarded unseen.
+    const bool completed = run_window(
+        eval, trace, budget, configs, draw_idx,
+        [&](std::size_t i, const EvalResult& r) {
+          consumed = draw_idx[i] + 1;
+          if (r.ok) maybe_checkpoint();
+        });
+    if (!completed) break;
   }
   // Final snapshot so interrupted-and-finished runs alike can be extended
   // later (e.g. resumed with a larger eval budget).
@@ -217,14 +137,8 @@ SearchTrace replay_search(Evaluator& eval,
       trace.set_stop_reason(kCancelledStopReason);
       break;
     }
-    const EvalResult r = eval.evaluate(order[i]);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(order[i], r.seconds, i);
+    if (account_result(trace, budget, eval.evaluate(order[i]), order[i], i))
+      break;
   }
   return trace;
 }
@@ -254,14 +168,8 @@ SearchTrace pruned_random_search(Evaluator& eval,
     obs::ScopedTimer phase("search.RS_p.cutoff", "search",
                            {{"pool_size", opt.pool_size},
                             {"delta_percent", opt.delta_percent}});
-    ConfigStream pool_stream(space, opt.seed ^ 0xb1a5ed0full);
-    std::vector<ParamConfig> pool;
-    pool.reserve(opt.pool_size);
-    while (pool.size() < opt.pool_size) {
-      auto c = pool_stream.next();
-      if (!c) break;
-      pool.push_back(std::move(*c));
-    }
+    const std::vector<ParamConfig> pool =
+        probe_configs(space, opt.pool_size, opt.seed ^ 0xb1a5ed0full);
     PT_REQUIRE(!pool.empty(), "empty prediction pool");
     const std::vector<double> pool_pred = predict_all(model, space, pool);
     cutoff = quantile(pool_pred, opt.delta_percent / 100.0);
@@ -320,8 +228,7 @@ SearchTrace pruned_random_search(Evaluator& eval,
          !space_exhausted) {
     if (opt.cancel.cancelled()) {
       trace.set_stop_reason(kCancelledStopReason);
-      publish_prune_stats();
-      return trace;
+      break;
     }
     const std::size_t want = std::min(width, opt.max_evals - trace.size());
     std::vector<ParamConfig> configs;
@@ -352,47 +259,29 @@ SearchTrace pruned_random_search(Evaluator& eval,
     }
     if (configs.empty()) break;  // everything left was pruned or drawn out
 
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) {
-          publish_prune_stats();
-          return trace;
-        }
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, draw_idx[i]);
-      if (monitor) monitor->observe(window_pred[i], r.seconds, trace.size());
-    }
-    if (results.size() < configs.size()) {  // cancelled mid-window
-      trace.set_stop_reason(kCancelledStopReason);
-      publish_prune_stats();
-      return trace;
-    }
+    const bool completed = run_window(
+        eval, trace, budget, configs, draw_idx,
+        [&](std::size_t i, const EvalResult& r) {
+          if (monitor && r.ok)
+            monitor->observe(window_pred[i], r.seconds, trace.size());
+        });
+    if (!completed) break;
   }
   publish_prune_stats();
 
   // Fallback guarantee: if the cutoff pruned everything (e.g. a degenerate
   // model), evaluate the first draws unconditionally so the search always
-  // returns a configuration. Deliberately serial: it is a <= 10-eval
-  // emergency path, not a throughput path.
-  if (trace.empty()) {
+  // returns a configuration. Not after an abort or a cancellation, which
+  // leave their reason on the trace. Deliberately serial: it is a
+  // <= 10-eval emergency path, not a throughput path.
+  if (trace.empty() && trace.stop_reason().empty()) {
     ConfigStream fallback(space, opt.seed);
     while (trace.size() < std::min<std::size_t>(opt.max_evals, 10)) {
       auto config = fallback.next();
       if (!config) break;
-      const EvalResult r = eval.evaluate(*config);
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) return trace;
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(*config), r.seconds, fallback.produced() - 1);
+      if (account_result(trace, budget, eval.evaluate(*config),
+                         std::move(*config), fallback.produced() - 1))
+        break;
     }
   }
   return trace;
@@ -410,46 +299,30 @@ SearchTrace biased_random_search(Evaluator& eval,
   // Phase 1: sample the candidate pool X_p, predict all run times (fanned
   // out over the shared pool — prediction i depends only on pool entry i,
   // so the ranking is deterministic), and rank by ascending prediction.
-  std::vector<ParamConfig> pool;
-  std::vector<double> pred;
-  std::vector<std::size_t> order;
-  {
+  RankedPool pool = [&] {
     obs::ScopedTimer rank_phase("search.RS_b.rank", "search",
                                 {{"pool_size", opt.pool_size}});
-    ConfigStream stream(space, opt.seed);
-    pool.reserve(opt.pool_size);
-    while (pool.size() < opt.pool_size) {
-      auto c = stream.next();
-      if (!c) break;
-      pool.push_back(std::move(*c));
-    }
-    PT_REQUIRE(!pool.empty(), "empty candidate pool");
-    pred = predict_all(model, space, pool);
-    order = argsort(pred);
-    rank_phase.add_field({"pool", pool.size()});
-  }
+    RankedPool ranked(space, opt.pool_size, opt.seed);
+    ranked.rank(model);
+    rank_phase.add_field({"pool", ranked.size()});
+    return ranked;
+  }();
 
-  // Phase 2: evaluate in ascending predicted-run-time order (equivalent to
-  // repeatedly taking argmin over the remaining pool, Algorithm 2 line 7),
-  // one window at a time. With the guard enabled the order is no longer
-  // immutable: when trust degrades and enough target observations have
-  // accumulated, a hybrid forest (source rows + weighted target rows) is
-  // refitted once and the remaining pool re-ranked; when trust collapses
-  // or the refit fails too, the remainder falls back to draw order — the
-  // order the pool was sampled in, i.e. plain RS over X_p. `used` makes
-  // the re-orderings safe: a configuration is evaluated at most once.
+  // Phase 2: evaluate in ascending predicted-run-time order, one window
+  // at a time. With the guard enabled the order is no longer immutable:
+  // when trust degrades and enough target observations have accumulated,
+  // a hybrid forest (source rows + weighted target rows) is refitted once
+  // and the remaining pool re-ranked; when trust collapses or the refit
+  // fails too, the remainder falls back to draw order — the order the
+  // pool was sampled in, i.e. plain RS over X_p.
   std::optional<TrustMonitor> monitor;
   if (opt.guard.enabled) monitor.emplace(opt.guard, "RS_b");
   ml::RegressorPtr refit_model;  // owns the hybrid forest after a refit
-  std::vector<bool> used(pool.size(), false);
-  std::size_t cursor = 0;
   bool draw_order_fallback = false;
   const auto maybe_react = [&] {
     if (!monitor || draw_order_fallback) return;
     if (monitor->state() == GuardState::Disabled) {
-      order.resize(pool.size());
-      for (std::size_t i = 0; i < pool.size(); ++i) order[i] = i;
-      cursor = 0;
+      pool.draw_order();
       draw_order_fallback = true;
       return;
     }
@@ -460,9 +333,7 @@ SearchTrace biased_random_search(Evaluator& eval,
           fit_hybrid_surrogate(opt.guard.refit_source, trace, space,
                                opt.guard.refit_target_weight,
                                opt.guard.refit_forest);
-      pred = predict_all(*refit_model, space, pool);
-      order = argsort(pred);
-      cursor = 0;
+      pool.rank(*refit_model);
       monitor->note_refit(trace.size());
     }
   };
@@ -476,37 +347,26 @@ SearchTrace biased_random_search(Evaluator& eval,
     const std::size_t want = std::min(width, opt.max_evals - trace.size());
     std::vector<ParamConfig> configs;
     std::vector<std::size_t> pool_idx;
-    std::vector<double> window_pred;
     configs.reserve(want);
     pool_idx.reserve(want);
-    window_pred.reserve(want);
-    while (configs.size() < want && cursor < order.size()) {
-      const std::size_t pick = order[cursor++];
-      if (used[pick]) continue;  // evaluated before a re-ranking
-      used[pick] = true;
-      pool_idx.push_back(pick);
-      configs.push_back(pool[pick]);
-      window_pred.push_back(pred[pick]);
+    while (configs.size() < want) {
+      const std::optional<std::size_t> pick = pool.next();
+      if (!pick) break;
+      pool_idx.push_back(*pick);
+      configs.push_back(pool.config(*pick));
     }
     if (configs.empty()) break;  // pool exhausted
 
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) return trace;
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, pool_idx[i]);
-      if (monitor) monitor->observe(window_pred[i], r.seconds, trace.size());
-    }
-    if (results.size() < configs.size()) {  // cancelled mid-window
-      trace.set_stop_reason(kCancelledStopReason);
-      return trace;
-    }
+    // The predictions a window was drawn under stay current until
+    // maybe_react() runs after it.
+    const bool completed = run_window(
+        eval, trace, budget, configs, pool_idx,
+        [&](std::size_t i, const EvalResult& r) {
+          if (monitor && r.ok)
+            monitor->observe(pool.prediction(pool_idx[i]), r.seconds,
+                             trace.size());
+        });
+    if (!completed) return trace;
     // Guard reactions happen at window granularity, after the window's
     // results are accounted in draw order — the same points in the
     // decision sequence at every thread count.
@@ -535,14 +395,9 @@ SearchTrace model_free_pruned(Evaluator& eval, const SearchTrace& source,
       break;
     }
     if (e.seconds >= cutoff) continue;  // pruned by the source run time
-    const EvalResult r = eval.evaluate(e.config);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(e.config, r.seconds, e.draw_index);
+    if (account_result(trace, budget, eval.evaluate(e.config), e.config,
+                       e.draw_index))
+      break;
   }
   return trace;
 }
@@ -567,14 +422,9 @@ SearchTrace model_free_biased(Evaluator& eval, const SearchTrace& source,
       break;
     }
     const auto& e = source.entry(order[rank]);
-    const EvalResult r = eval.evaluate(e.config);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(e.config, r.seconds, e.draw_index);
+    if (account_result(trace, budget, eval.evaluate(e.config), e.config,
+                       e.draw_index))
+      break;
   }
   return trace;
 }

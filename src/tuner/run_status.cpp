@@ -366,7 +366,7 @@ RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
                          detail->as_array().size() == peek.states.size();
   os << "cells:\n";
   for (std::size_t i = 0; i < peek.states.size(); ++i) {
-    char idx[16];
+    char idx[32];
     std::snprintf(idx, sizeof idx, "  [%03zu] ", i);
     os << idx;
     char state[16];

@@ -51,4 +51,24 @@ std::optional<ParamConfig> ConfigStream::next() {
   return std::nullopt;
 }
 
+std::size_t ConfigStream::take(std::size_t n, std::vector<ParamConfig>& out) {
+  std::size_t taken = 0;
+  for (; taken < n; ++taken) {
+    auto c = next();
+    if (!c) break;
+    out.push_back(std::move(*c));
+  }
+  return taken;
+}
+
+std::vector<ParamConfig> probe_configs(const ParamSpace& space,
+                                       std::size_t count,
+                                       std::uint64_t seed) {
+  ConfigStream stream(space, seed);
+  std::vector<ParamConfig> out;
+  out.reserve(count);
+  stream.take(count, out);
+  return out;
+}
+
 }  // namespace portatune::tuner

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <unordered_set>
+#include <vector>
 
 #include "tuner/param.hpp"
 
@@ -21,6 +22,10 @@ class ConfigStream {
   /// Next distinct configuration, or nullopt once the space (or the
   /// rejection budget on astronomically large spaces) is exhausted.
   std::optional<ParamConfig> next();
+
+  /// Append up to `n` further draws to `out`. Returns how many were
+  /// appended: fewer than `n` only once the stream is exhausted.
+  std::size_t take(std::size_t n, std::vector<ParamConfig>& out);
 
   /// Number of configurations produced so far.
   std::size_t produced() const noexcept { return produced_; }
@@ -39,5 +44,15 @@ class ConfigStream {
   std::size_t cursor_ = 0;
   bool use_enumeration_ = false;
 };
+
+/// The first `count` draws of the stream seeded with `seed` (fewer when
+/// the space runs out first). Every candidate pool is sampled through
+/// this — the RS_p cutoff pool, the ranked pools of RS_b, warm sessions
+/// and seeded starts — as is the canonical probe set that
+/// measure_similarity and the surrogate store's machine fingerprints
+/// evaluate (tuner/similarity.hpp). Deterministic in (space, seed).
+std::vector<ParamConfig> probe_configs(const ParamSpace& space,
+                                       std::size_t count,
+                                       std::uint64_t seed);
 
 }  // namespace portatune::tuner

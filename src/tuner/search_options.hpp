@@ -7,10 +7,13 @@
 // initialization at call sites keeps working (the base is then
 // default-initialized), as does plain member assignment.
 //
-// Legacy note: new driver code should not assemble these by hand —
-// apps::TuningConfig (apps/tuning_config.hpp) is the validated builder
-// that produces SearchCommon (and its sibling option structs)
-// consistently; these aggregates remain as its construction targets.
+// Driver code usually gets these from apps::TuningConfig
+// (apps/tuning_config.hpp), the validated builder that fills
+// SearchCommon and its sibling option structs consistently. Every search
+// consumes them through the same shared mechanisms — one ranked pool,
+// one evaluation-window loop (tuner/search_loop.hpp) — and the six-phase
+// transfer protocol has one engine, run_transfer_experiment
+// (tuner/experiment.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,82 +1,13 @@
 #include "tuner/session.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/sink.hpp"
 #include "support/error.hpp"
-#include "support/stats.hpp"
-#include "support/thread_pool.hpp"
-#include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
-
-namespace {
-
-void require_same_space(const ParamSpace& a, const ParamSpace& b) {
-  PT_REQUIRE(a.num_params() == b.num_params(),
-             "source/target parameter spaces differ in arity");
-  for (std::size_t i = 0; i < a.num_params(); ++i) {
-    PT_REQUIRE(a.param(i).name == b.param(i).name &&
-                   a.param(i).values == b.param(i).values,
-               "source/target parameter spaces differ at parameter " +
-                   a.param(i).name);
-  }
-}
-
-/// Order-preserving batch prediction (same discipline as the search
-/// loops: prediction i depends only on configs[i], so the fan-out is
-/// deterministic; small pools stay serial).
-std::vector<double> predict_pool(const ml::Regressor& model,
-                                 const ParamSpace& space,
-                                 const std::vector<ParamConfig>& configs) {
-  std::vector<double> pred(configs.size());
-  const auto body = [&](std::size_t i) {
-    pred[i] = model.predict(space.features(configs[i]));
-  };
-  constexpr std::size_t kParallelThreshold = 256;
-  if (configs.size() >= kParallelThreshold)
-    ThreadPool::global().parallel_for(0, configs.size(), body);
-  else
-    for (std::size_t i = 0; i < configs.size(); ++i) body(i);
-  return pred;
-}
-
-std::size_t batch_width(const Evaluator& eval) {
-  return std::max<std::size_t>(1, eval.capabilities().preferred_batch);
-}
-
-std::vector<EvalResult> evaluate_window(Evaluator& eval,
-                                        std::span<const ParamConfig> configs,
-                                        std::size_t evals_done) {
-  std::optional<obs::ScopedTimer> span;
-  if (obs::enabled(obs::Severity::Debug))
-    span.emplace("search.window", "search",
-                 std::vector<obs::Field>{{"window", configs.size()},
-                                         {"evals_done", evals_done}},
-                 nullptr, obs::Severity::Debug);
-  return eval.evaluate_batch(configs);
-}
-
-void emit_session_open(const std::string& id, const std::string& kind,
-                       const Evaluator& eval, bool warm, bool resumed,
-                       std::size_t budget) {
-  obs::MetricsRegistry::current().counter("service.sessions_opened").add(1);
-  if (!obs::enabled(obs::Severity::Info)) return;
-  obs::emit(obs::make_instant(
-      obs::Severity::Info, "session.open", "service",
-      {{"id", id},
-       {"kind", kind},
-       {"problem", eval.problem_name()},
-       {"machine", eval.machine_name()},
-       {"warm", warm},
-       {"resumed", resumed},
-       {"budget", static_cast<std::uint64_t>(budget)}}));
-}
-
-}  // namespace
 
 TuningSession::TuningSession(Evaluator& eval, SessionOptions opt)
     : eval_(eval),
@@ -92,17 +23,8 @@ TuningSession::TuningSession(Evaluator& eval, SessionOptions opt)
                                {{"id", opt_.id},
                                 {"pool_size",
                                  static_cast<std::uint64_t>(opt_.pool_size)}});
-    ConfigStream stream(eval_.space(), opt_.seed);
-    pool_.reserve(opt_.pool_size);
-    while (pool_.size() < opt_.pool_size) {
-      auto c = stream.next();
-      if (!c) break;
-      pool_.push_back(std::move(*c));
-    }
-    PT_REQUIRE(!pool_.empty(), "empty candidate pool");
-    const std::vector<double> pred =
-        predict_pool(*opt_.warm_model, eval_.space(), pool_);
-    order_ = argsort(pred);
+    pool_.emplace(eval_.space(), opt_.pool_size, opt_.seed);
+    pool_->rank(*opt_.warm_model);
   } else {
     stream_ = std::make_unique<ConfigStream>(eval_.space(), opt_.seed);
   }
@@ -128,11 +50,20 @@ TuningSession::TuningSession(Evaluator& eval, SessionOptions opt)
       for (std::size_t i = 0; i < consumed_; ++i)
         if (!stream_->next()) break;
     } else {
-      cursor_ = std::min(consumed_, order_.size());
+      pool_->skip(consumed_);
     }
   }
-  emit_session_open(opt_.id, "tuning", eval_, warm(),
-                    opt_.resume != nullptr, opt_.max_evals);
+  obs::MetricsRegistry::current().counter("service.sessions_opened").add(1);
+  if (!obs::enabled(obs::Severity::Info)) return;
+  obs::emit(obs::make_instant(
+      obs::Severity::Info, "session.open", "service",
+      {{"id", opt_.id},
+       {"kind", "tuning"},
+       {"problem", eval_.problem_name()},
+       {"machine", eval_.machine_name()},
+       {"warm", warm()},
+       {"resumed", opt_.resume != nullptr},
+       {"budget", static_cast<std::uint64_t>(opt_.max_evals)}}));
 }
 
 TuningSession::~TuningSession() {
@@ -156,24 +87,23 @@ void TuningSession::gather(std::size_t want,
   draw_idx.reserve(want);
   marker.reserve(want);
   if (stream_ != nullptr) {
+    const std::size_t first_draw = stream_->produced();
+    if (stream_->take(want, configs) < want) exhausted_ = true;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      draw_idx.push_back(first_draw + i);
+      marker.push_back(first_draw + i + 1);
+    }
+  } else {
     while (configs.size() < want) {
-      auto config = stream_->next();
-      if (!config) {
+      const std::optional<std::size_t> pick = pool_->next();
+      if (!pick) {
         exhausted_ = true;
         break;
       }
-      draw_idx.push_back(stream_->produced() - 1);
-      marker.push_back(stream_->produced());
-      configs.push_back(std::move(*config));
+      draw_idx.push_back(*pick);
+      marker.push_back(pool_->cursor());
+      configs.push_back(pool_->config(*pick));
     }
-  } else {
-    while (configs.size() < want && cursor_ < order_.size()) {
-      const std::size_t pick = order_[cursor_++];
-      draw_idx.push_back(pick);
-      marker.push_back(cursor_);
-      configs.push_back(pool_[pick]);
-    }
-    if (cursor_ >= order_.size() && configs.size() < want) exhausted_ = true;
   }
 }
 
@@ -194,33 +124,15 @@ SessionStepStats TuningSession::step(std::size_t n) {
     gather(want, configs, draw_idx, marker);
     if (configs.empty()) break;
 
-    const std::vector<EvalResult> results =
-        evaluate_window(eval_, configs, trace_.size());
-    // Strictly draw order, regardless of completion order inside the
-    // batch — the same discipline that keeps parallel traces
-    // bit-identical to serial in the free-function searches.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      consumed_ = marker[i];
-      const EvalResult& r = results[i];
-      trace_.note_result(r);
-      if (!r.ok) {
-        ++st.failures;
-        if (budget_.note(r)) {
-          trace_.set_stop_reason(budget_.reason());
-          exhausted_ = true;
-          break;
-        }
-        continue;
-      }
-      budget_.note(r);
-      trace_.record(std::move(configs[i]), r.seconds, draw_idx[i]);
-      ++st.evaluated;
-    }
-    // A short result vector means the window was cancelled mid-flight:
-    // the accounted prefix is consistent, the tail never happened (and
-    // `consumed_` excludes it, so a resume re-draws those configs).
-    if (results.size() < configs.size()) {
-      trace_.set_stop_reason(kCancelledStopReason);
+    // `consumed_` stops at the last accounted result, so a resume after
+    // an abort or a mid-window cancellation re-draws the tail.
+    const bool completed = run_window(
+        eval_, trace_, budget_, configs, draw_idx,
+        [&](std::size_t i, const EvalResult& r) {
+          consumed_ = marker[i];
+          ++(r.ok ? st.evaluated : st.failures);
+        });
+    if (!completed) {
       exhausted_ = true;
       break;
     }
@@ -292,180 +204,6 @@ void TuningSession::close() {
   obs::emit(obs::make_span(obs::Severity::Info, "session.closed", "service",
                            obs::mono_now() - opened_mono_,
                            std::move(fields)));
-}
-
-// ---------------------------------------------------------------------------
-
-ExperimentSession::ExperimentSession(Evaluator& source, Evaluator& target,
-                                     const ExperimentSettings& settings,
-                                     std::string id)
-    : source_(source),
-      target_(target),
-      settings_(settings),
-      id_(std::move(id)) {
-  opened_mono_ = obs::mono_now();
-  emit_session_open(id_, "experiment", target_, false, false,
-                    settings_.nmax);
-}
-
-ExperimentSession::~ExperimentSession() {
-  if (closed_) return;
-  closed_ = true;
-  obs::MetricsRegistry::current().counter("service.sessions_closed").add(1);
-  if (!obs::enabled(obs::Severity::Info)) return;
-  obs::emit(obs::make_span(obs::Severity::Info, "session.closed", "service",
-                           obs::mono_now() - opened_mono_,
-                           {{"id", id_}, {"kind", "experiment"}}));
-}
-
-TransferExperimentResult ExperimentSession::run() {
-  PT_REQUIRE(!ran_, "ExperimentSession::run may only be called once");
-  ran_ = true;
-  Evaluator& source = source_;
-  Evaluator& target = target_;
-  const ExperimentSettings& settings = settings_;
-  require_same_space(source.space(), target.space());
-
-  TransferExperimentResult out;
-  obs::ScopedTimer experiment_span(
-      "experiment.transfer", "experiment",
-      {{"problem", source.problem_name()},
-       {"source", source.machine_name()},
-       {"target", target.machine_name()},
-       {"nmax", settings.nmax}});
-  const auto phase = [&](const char* name) {
-    return obs::ScopedTimer(std::string("phase.") + name, "experiment");
-  };
-
-  // Run one named search phase: try the restore hook first, then check
-  // for cancellation, then run. A phase whose trace carries the
-  // cancellation stop reason (or that never started) flips `interrupted`,
-  // which short-circuits every later phase — the caller gets back exactly
-  // the completed prefix of the protocol plus the partial phase's trace.
-  const auto run_phase = [&](const char* name, SearchTrace& slot,
-                             auto&& body) {
-    if (out.interrupted) return;
-    if (settings.hooks.restore_phase) {
-      if (std::optional<SearchTrace> restored =
-              settings.hooks.restore_phase(name)) {
-        slot = std::move(*restored);
-        return;
-      }
-    }
-    if (settings.cancel.cancelled()) {
-      out.interrupted = true;
-      return;
-    }
-    {
-      auto span = phase(name);
-      slot = body();
-    }
-    if (slot.stop_reason() == kCancelledStopReason) {
-      out.interrupted = true;
-      return;
-    }
-    if (settings.hooks.phase_done) settings.hooks.phase_done(name, slot);
-  };
-
-  // 1. RS on the source machine -> T_a. This is the long phase, so it is
-  // additionally checkpointed mid-flight through the rs_* hooks.
-  std::optional<SearchCheckpoint> rs_snapshot;
-  run_phase("source_rs", out.source_rs, [&] {
-    RandomSearchOptions rs_opt;
-    rs_opt.max_evals = settings.nmax;
-    rs_opt.seed = settings.seed;
-    rs_opt.failure_budget = settings.failure_budget;
-    rs_opt.cancel = settings.cancel;
-    rs_opt.checkpoint_every = settings.hooks.rs_checkpoint_every;
-    rs_opt.on_checkpoint = settings.hooks.rs_checkpoint;
-    if (settings.hooks.rs_resume) {
-      rs_snapshot = settings.hooks.rs_resume();
-      if (rs_snapshot) rs_opt.resume = &*rs_snapshot;
-    }
-    return random_search(source, rs_opt);
-  });
-  if (out.interrupted) return out;
-  PT_REQUIRE(!out.source_rs.empty(), "source RS produced no evaluations");
-
-  // 2. RS on the target machine, replaying the source order (CRN).
-  run_phase("target_rs", out.target_rs, [&] {
-    std::vector<ParamConfig> order;
-    order.reserve(out.source_rs.size());
-    for (const auto& e : out.source_rs.entries()) order.push_back(e.config);
-    return replay_search(target, order, settings.nmax, "RS",
-                         settings.failure_budget, settings.cancel);
-  });
-  if (out.interrupted) return out;
-
-  // 3. Fit the surrogate M_a on T_a.
-  ml::ForestParams fp = settings.forest;
-  fp.seed = settings.seed;
-  ml::RegressorPtr model;
-  {
-    auto span = phase("fit");
-    model = fit_surrogate(out.source_rs, source.space(), fp);
-  }
-
-  // 4. Model-based variants on the target machine. When the guard is on,
-  // its refits train on T_a + accumulated target rows, and every state
-  // transition lands on the result's guard_log tagged with the search
-  // that fired it.
-  const auto guard_for = [&](const char* algo) {
-    GuardOptions g = settings.guard;
-    if (!g.enabled) return g;
-    g.refit_source = &out.source_rs;
-    g.refit_forest = settings.forest;
-    g.refit_forest.seed = settings.seed;
-    g.on_transition = [&out, algo](const GuardTransition& tr) {
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "%s: %s->%s @%zu (%s, trust=%.3f)", algo,
-                    to_string(tr.from), to_string(tr.to), tr.evals,
-                    tr.reason.c_str(), tr.trust);
-      out.guard_log.emplace_back(line);
-    };
-    return g;
-  };
-
-  run_phase("pruned", out.pruned, [&] {
-    PrunedSearchOptions p_opt;
-    p_opt.max_evals = settings.nmax;
-    p_opt.pool_size = settings.pool_size;
-    p_opt.delta_percent = settings.delta_percent;
-    p_opt.seed = settings.seed;
-    p_opt.failure_budget = settings.failure_budget;
-    p_opt.guard = guard_for("RS_p");
-    p_opt.cancel = settings.cancel;
-    return pruned_random_search(target, *model, p_opt);
-  });
-
-  run_phase("biased", out.biased, [&] {
-    BiasedSearchOptions b_opt;
-    b_opt.max_evals = settings.nmax;
-    b_opt.pool_size = settings.pool_size;
-    b_opt.seed = settings.seed;
-    b_opt.failure_budget = settings.failure_budget;
-    b_opt.guard = guard_for("RS_b");
-    b_opt.cancel = settings.cancel;
-    return biased_random_search(target, *model, b_opt);
-  });
-
-  // 5. Model-free controls, restricted to T_a's configurations.
-  run_phase("pruned_mf", out.pruned_mf, [&] {
-    return model_free_pruned(target, out.source_rs, settings.delta_percent,
-                             SIZE_MAX, settings.failure_budget,
-                             settings.cancel);
-  });
-  run_phase("biased_mf", out.biased_mf, [&] {
-    return model_free_biased(target, out.source_rs, SIZE_MAX,
-                             settings.failure_budget, settings.cancel);
-  });
-  if (out.interrupted) return out;
-
-  // 6-8. Derived metrics, computed only for complete runs.
-  auto metrics_span = phase("metrics");
-  finalize_transfer_result(out);
-  return out;
 }
 
 }  // namespace portatune::tuner

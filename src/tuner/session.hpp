@@ -1,9 +1,9 @@
 // Tuning sessions: the stateful core of the autotuning-as-a-service API.
 //
-// A *session* is one long-lived tuning conversation with an evaluator:
-// instead of a free function that runs a whole search and returns, the
-// caller opens a session, advances it incrementally (step), or pulls
-// candidates out and pushes externally measured results back in
+// A TuningSession is one long-lived tuning conversation with an
+// evaluator: instead of a free function that runs a whole search and
+// returns, the caller opens a session, advances it incrementally (step),
+// or pulls candidates out and pushes externally measured results back in
 // (suggest / report), snapshots it for crash-safety (checkpoint), and
 // finally closes it. The service layer (src/service) multiplexes many of
 // these concurrently over shared infrastructure — the evaluation cache,
@@ -11,20 +11,13 @@
 // itself is plain tuner code with no service dependencies, so embedders
 // can drive one directly.
 //
-// Two session kinds exist:
-//
-//   TuningSession     — single-machine incremental search. Cold sessions
-//                       walk the seeded without-replacement draw stream
-//                       exactly like RS; warm sessions rank a candidate
-//                       pool with a surrogate handed in at open (the
-//                       store's nearest-machine forest) and evaluate in
-//                       ascending predicted order, exactly like RS_b.
-//   ExperimentSession — the paper's six-phase transfer protocol
-//                       (Sec. IV-D) wrapped in a session. The legacy
-//                       free function run_transfer_experiment() is now a
-//                       thin adapter that opens one of these, runs it,
-//                       and returns its result — same traces, same
-//                       journal artifacts, bit-for-bit.
+// A session runs the searches' own mechanisms (tuner/search_loop.hpp),
+// not copies of them. A cold session walks the seeded without-replacement
+// draw stream, so stepping it to exhaustion is random_search(). A warm
+// session walks a RankedPool scored by a surrogate handed in at open (the
+// store's nearest-machine forest), so stepping it to exhaustion is
+// unguarded biased_random_search() (RS_b). The six-phase transfer
+// protocol is a single call, run_transfer_experiment (tuner/experiment.hpp).
 //
 // Lifecycle observability: every session emits a `session.open` instant
 // at construction and a `session.closed` span (duration = session
@@ -38,10 +31,10 @@
 #include <vector>
 
 #include "ml/model.hpp"
-#include "tuner/experiment.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/resilience.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/search_options.hpp"
 #include "tuner/trace.hpp"
 
@@ -142,48 +135,12 @@ class TuningSession {
   bool exhausted_ = false;
   std::size_t consumed_ = 0;  ///< draws (cold) / pool picks (warm) accounted
 
-  // Cold path.
-  std::unique_ptr<ConfigStream> stream_;
-
-  // Warm path (RS_b-style ranked pool).
-  std::vector<ParamConfig> pool_;
-  std::vector<std::size_t> order_;  ///< pool indices, ascending prediction
-  std::size_t cursor_ = 0;          ///< next order_ position gather takes
+  std::unique_ptr<ConfigStream> stream_;  ///< cold: the RS draw stream
+  std::optional<RankedPool> pool_;        ///< warm: the RS_b ranked pool
 
   /// Outstanding suggestions: config hash -> draw index, so report()
   /// stamps the entry with the same index step() would have.
   std::vector<std::pair<std::uint64_t, std::size_t>> pending_;
-};
-
-/// The six-phase transfer protocol as a session. run() executes the
-/// engine exactly as the historical run_transfer_experiment did (same
-/// phases, same hooks, same traces); the session wrapper adds the
-/// lifecycle events and gives the service layer a handle to multiplex.
-class ExperimentSession {
- public:
-  /// Evaluators and settings must outlive run().
-  ExperimentSession(Evaluator& source, Evaluator& target,
-                    const ExperimentSettings& settings,
-                    std::string id = "experiment");
-  ~ExperimentSession();
-
-  ExperimentSession(const ExperimentSession&) = delete;
-  ExperimentSession& operator=(const ExperimentSession&) = delete;
-
-  /// Execute the protocol (once). Cancellation and crash-safety hooks
-  /// behave exactly as documented on ExperimentSettings.
-  TransferExperimentResult run();
-
-  const std::string& id() const noexcept { return id_; }
-
- private:
-  Evaluator& source_;
-  Evaluator& target_;
-  const ExperimentSettings& settings_;
-  std::string id_;
-  double opened_mono_ = 0.0;
-  bool ran_ = false;
-  bool closed_ = false;
 };
 
 }  // namespace portatune::tuner

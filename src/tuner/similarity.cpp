@@ -9,20 +9,6 @@
 
 namespace portatune::tuner {
 
-std::vector<ParamConfig> probe_configs(const ParamSpace& space,
-                                       std::size_t count,
-                                       std::uint64_t seed) {
-  ConfigStream stream(space, seed);
-  std::vector<ParamConfig> out;
-  out.reserve(count);
-  while (out.size() < count) {
-    auto c = stream.next();
-    if (!c) break;
-    out.push_back(std::move(*c));
-  }
-  return out;
-}
-
 SimilarityReport summarize_probe_vectors(std::span<const double> a,
                                          std::span<const double> b,
                                          double top_fraction) {

@@ -36,18 +36,12 @@ struct SimilarityOptions {
 };
 
 /// The canonical probe stream seed. Every machine *fingerprint* (see
-/// probe_configs) is measured over the same seeded draw sequence, so two
-/// fingerprints taken on different machines — possibly in different
-/// processes, years apart — are aligned element-for-element and can be
-/// compared directly with summarize_probe_vectors.
+/// probe_configs in tuner/sampler.hpp) is measured over the same seeded
+/// draw sequence, so two fingerprints taken on different machines —
+/// possibly in different processes, years apart — are aligned
+/// element-for-element and can be compared directly with
+/// summarize_probe_vectors.
 inline constexpr std::uint64_t kFingerprintSeed = 97;
-
-/// The first `count` draws of a canonical seeded stream over `space`:
-/// the shared probe set both measure_similarity and the surrogate
-/// store's machine fingerprints evaluate. Deterministic in (space, seed).
-std::vector<ParamConfig> probe_configs(const ParamSpace& space,
-                                       std::size_t count,
-                                       std::uint64_t seed = kFingerprintSeed);
 
 /// Summarize two aligned probe run-time vectors (the correlation core of
 /// measure_similarity, reusable when one side is a *stored* fingerprint

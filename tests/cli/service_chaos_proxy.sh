@@ -44,6 +44,36 @@ wait_for_socket() {
   return 1
 }
 
+# A failed assertion exits the script under `set -e`; never leave the
+# daemon or the loadgen running behind it.
+daemon=
+loadgen=
+cleanup() {
+  for pid in $daemon $loadgen; do kill "$pid" 2>/dev/null || true; done
+}
+trap cleanup EXIT
+
+# Block until the daemon has served at least $1 step ops: its own
+# server.op.step.count, read over the real socket (`stats` is not among
+# the ops the loadgen cross-checks).
+wait_for_steps() {
+  for _ in $(seq 1 500); do
+    if call '{"op":"stats"}' >progress.json 2>/dev/null &&
+      python3 - "$1" <<'PY'; then
+import json, sys
+s = json.load(open("progress.json"))
+counters = s.get("metrics", {}).get("counters", {})
+steps = counters.get("server.op.step.count", 0)
+raise SystemExit(0 if steps >= int(sys.argv[1]) else 1)
+PY
+      return 0
+    fi
+    sleep 0.02
+  done
+  echo "daemon never served $1 step ops" >&2
+  return 1
+}
+
 serve() { # serve <logfile> [extra flags...]
   local log=$1
   shift
@@ -61,7 +91,9 @@ serve serve1.log --lease-seconds 2
   --chaos-seed 7 --out loadgen_out >loadgen.log 2>&1 &
 loadgen=$!
 
-sleep 1.2
+# Restart on observed progress, not after a fixed sleep: a few steps in,
+# the 72-op run is still in flight however fast the host is.
+wait_for_steps 4
 # The run must still be in flight, or the restart would prove nothing.
 kill -0 "$loadgen"
 kill -TERM "$daemon"

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/event.hpp"
 
@@ -203,6 +205,29 @@ TEST(Comparison, FlagsRegressionsAtTheThreshold) {
   EXPECT_FALSE(compare_reports(base, cur, 30.0).regressed());
   // Speedups never trip the gate.
   EXPECT_FALSE(compare_reports(cur, base, 20.0).regressed());
+}
+
+TEST(Comparison, WideValuesKeepTheirColumnsApart) {
+  Report base, cur;
+  PhaseStat p;
+  p.name = "BM_Wide";
+  p.count = 1;
+  p.total_seconds = 6842393.129069;
+  base.phases.push_back(p);
+  p.total_seconds = 10367568.049998;
+  cur.phases.push_back(p);
+  std::ostringstream os;
+  write_comparison(os, compare_reports(base, cur, 20.0));
+  const std::string out = os.str();
+  const std::size_t row = out.find("BM_Wide");
+  ASSERT_NE(row, std::string::npos) << out;
+  std::istringstream cells(out.substr(row, out.find('\n', row) - row));
+  std::vector<std::string> words;
+  for (std::string w; cells >> w;) words.push_back(w);
+  EXPECT_EQ(words, (std::vector<std::string>{"BM_Wide", "6842393.129069",
+                                             "10367568.049998", "+51.5%",
+                                             "REGRESSED"}))
+      << out;
 }
 
 TEST(Comparison, ReadsGoogleBenchmarkJson) {

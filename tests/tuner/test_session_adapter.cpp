@@ -1,13 +1,13 @@
-// Session-API adapter parity: the legacy free function
-// run_transfer_experiment() is a thin adapter over ExperimentSession and
-// must reproduce it bit for bit, and a cold TuningSession stepped to
-// exhaustion is exactly the historical random_search().
+// Session parity: a TuningSession runs the searches' own mechanisms, so a
+// cold session stepped to exhaustion is exactly random_search() and a warm
+// one is exactly unguarded biased_random_search() on the same surrogate.
 #include <gtest/gtest.h>
 
 #include "apps/tuning_config.hpp"
 #include "tuner/experiment.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/session.hpp"
+#include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
 namespace {
@@ -24,51 +24,48 @@ void expect_traces_equal(const SearchTrace& a, const SearchTrace& b,
   }
 }
 
-apps::TuningConfig transfer_config() {
-  return apps::TuningConfig{}
-      .problem("LU")
-      .machines("Westmere", "Sandybridge")
-      .max_evals(25)
-      .pool_size(2000)
-      .seed(13);
-}
+TEST(SessionAdapter, WarmSessionSteppedToExhaustionIsBiasedSearch) {
+  for (const char* problem : {"LU", "MM", "RT", "HPL"}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(problem) + " threads=" +
+                   std::to_string(threads));
+      const apps::TuningConfig cfg = apps::TuningConfig{}
+                                         .problem(problem)
+                                         .machines("Westmere", "Sandybridge")
+                                         .max_evals(60)
+                                         .pool_size(2000)
+                                         .seed(17)
+                                         .eval_threads(threads);
+      const ExperimentSettings settings = cfg.experiment_settings();
+      auto source = cfg.make_stack(apps::StackRole::Source);
+      const SearchTrace t_a = run_reference_rs(*source, settings);
+      ml::ForestParams fp = settings.forest;
+      fp.seed = settings.seed;
+      const ml::RegressorPtr model = fit_surrogate(t_a, source->space(), fp);
 
-TEST(SessionAdapter, FreeFunctionMatchesExperimentSession) {
-  const apps::TuningConfig cfg = transfer_config();
-  const ExperimentSettings settings = cfg.experiment_settings();
+      auto stack_rsb = cfg.make_stack(apps::StackRole::Target);
+      BiasedSearchOptions b_opt;
+      static_cast<SearchCommon&>(b_opt) = cfg.search_common();
+      b_opt.pool_size = cfg.pool_size();
+      ASSERT_FALSE(b_opt.guard.enabled);
+      const SearchTrace rsb = biased_random_search(*stack_rsb, *model, b_opt);
 
-  // Legacy entry point, fresh stacks.
-  auto src1 = cfg.make_stack(apps::StackRole::Source);
-  auto tgt1 = cfg.make_stack(apps::StackRole::Target);
-  const TransferExperimentResult legacy =
-      run_transfer_experiment(*src1, *tgt1, settings);
+      auto stack_session = cfg.make_stack(apps::StackRole::Target);
+      SessionOptions opt = cfg.session_options("warm");
+      opt.warm_model = model.get();
+      TuningSession session(*stack_session, opt);
+      // Ragged step sizes: the step granularity must not change the trace.
+      for (std::size_t n : {1u, 7u, 3u, 20u}) {
+        if (session.step(n).exhausted) break;
+      }
+      while (!session.step(9).exhausted) {
+      }
+      session.close();
 
-  // The session it adapts to, fresh stacks again.
-  auto src2 = cfg.make_stack(apps::StackRole::Source);
-  auto tgt2 = cfg.make_stack(apps::StackRole::Target);
-  ExperimentSession session(*src2, *tgt2, settings, "parity");
-  const TransferExperimentResult direct = session.run();
-
-  expect_traces_equal(legacy.source_rs, direct.source_rs, "source_rs");
-  expect_traces_equal(legacy.target_rs, direct.target_rs, "target_rs");
-  expect_traces_equal(legacy.pruned, direct.pruned, "pruned");
-  expect_traces_equal(legacy.biased, direct.biased, "biased");
-  expect_traces_equal(legacy.pruned_mf, direct.pruned_mf, "pruned_mf");
-  expect_traces_equal(legacy.biased_mf, direct.biased_mf, "biased_mf");
-
-  EXPECT_DOUBLE_EQ(legacy.pearson, direct.pearson);
-  EXPECT_DOUBLE_EQ(legacy.spearman, direct.spearman);
-  EXPECT_DOUBLE_EQ(legacy.top_overlap, direct.top_overlap);
-  EXPECT_DOUBLE_EQ(legacy.pruned_speedup.performance,
-                   direct.pruned_speedup.performance);
-  EXPECT_DOUBLE_EQ(legacy.pruned_speedup.search,
-                   direct.pruned_speedup.search);
-  EXPECT_DOUBLE_EQ(legacy.biased_speedup.performance,
-                   direct.biased_speedup.performance);
-  EXPECT_DOUBLE_EQ(legacy.biased_speedup.search,
-                   direct.biased_speedup.search);
-  EXPECT_FALSE(legacy.interrupted);
-  EXPECT_FALSE(direct.interrupted);
+      ASSERT_EQ(rsb.size(), 60u);
+      expect_traces_equal(session.trace(), rsb, "warm session vs RS_b");
+    }
+  }
 }
 
 TEST(SessionAdapter, ColdSessionSteppedToExhaustionIsRandomSearch) {
