@@ -10,6 +10,7 @@
 #include "kernels/sim_evaluator.hpp"
 #include "kernels/spapt.hpp"
 #include "ml/forest.hpp"
+#include "ml/metrics.hpp"
 #include "tuner/random_search.hpp"
 
 using namespace portatune;
@@ -43,7 +44,7 @@ int main() {
   std::printf("forest: %zu trees, OOB RMSE %.4f s\n", forest.num_trees(),
               forest.oob_rmse());
   std::printf("\npermutation feature importances:\n");
-  const auto imp = forest.feature_importances();
+  const auto imp = ml::permutation_importance(forest, data, fp.seed);
   const auto names = mm->space().names();
   for (std::size_t i = 0; i < imp.size(); ++i)
     std::printf("  %-6s %.3f\n", names[i].c_str(), imp[i]);

@@ -33,6 +33,7 @@
 #include "tuner/parallel.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 
 namespace {
 
@@ -70,14 +71,48 @@ void BM_ForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestFit)->Arg(8)->Arg(64);
 
-void BM_ForestPredict(benchmark::State& state) {
-  const auto data = lu_training_data();
-  ml::RandomForest forest;
-  forest.fit(data);
-  const std::vector<double> x(data.row(0).begin(), data.row(0).end());
-  for (auto _ : state) benchmark::DoNotOptimize(forest.predict(x));
+/// The transfer protocol's training set T_a: 100 RS evaluations on
+/// `eval` (a paper evaluator).
+ml::Dataset paper_training_data(tuner::Evaluator& eval) {
+  tuner::RandomSearchOptions opt;
+  opt.max_evals = 100;
+  opt.seed = 1;
+  return tuner::random_search(eval, opt).to_dataset(eval.space());
 }
-BENCHMARK(BM_ForestPredict);
+
+void BM_ForestFitRt(benchmark::State& state) {
+  // RT's 247-feature space: the widest fit the transfer protocol makes.
+  const auto rt = bench::paper_evaluator("RT", "Westmere");
+  const auto data = paper_training_data(*rt);
+  for (auto _ : state) {
+    ml::RandomForest forest;
+    forest.fit(data);
+    benchmark::DoNotOptimize(forest.num_trees());
+  }
+  state.counters["rows"] = static_cast<double>(data.num_rows());
+  state.counters["features"] = static_cast<double>(data.num_features());
+}
+BENCHMARK(BM_ForestFitRt)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_PoolPredict(benchmark::State& state, const char* problem) {
+  // Surrogate scoring of one N = 10 000 candidate pool of distinct
+  // configurations, as RS_p and RS_b do it: the forest fit on T_a, the
+  // pool featurized and scored block by block across the global pool.
+  const auto eval = bench::paper_evaluator(problem, "Westmere");
+  ml::RandomForest forest;
+  forest.fit(paper_training_data(*eval));
+  const auto pool = tuner::probe_configs(eval->space(), 10000, 7);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(tuner::predict_all(forest, eval->space(), pool));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    pool.size()));
+}
+BENCHMARK_CAPTURE(BM_PoolPredict, LU, "LU")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_PoolPredict, RT, "RT")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_AnalyticCostModel(benchmark::State& state) {
   auto lu = kernels::make_lu();

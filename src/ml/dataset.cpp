@@ -21,6 +21,11 @@ void Dataset::add_row(std::span<const double> features, double target) {
   targets_.push_back(target);
 }
 
+void Dataset::reserve(std::size_t rows) {
+  features_.reserve(rows * num_features_);
+  targets_.reserve(rows);
+}
+
 std::string Dataset::feature_name(std::size_t j) const {
   PT_REQUIRE(j < num_features_, "feature index out of range");
   if (j < feature_names_.size()) return feature_names_[j];
@@ -29,8 +34,7 @@ std::string Dataset::feature_name(std::size_t j) const {
 
 Dataset Dataset::bootstrap(Rng& rng) const {
   Dataset out(num_features_, feature_names_);
-  out.features_.reserve(features_.size());
-  out.targets_.reserve(targets_.size());
+  out.reserve(num_rows());
   for (std::size_t i = 0; i < num_rows(); ++i) {
     const auto pick = static_cast<std::size_t>(rng.below(num_rows()));
     out.add_row(row(pick), target(pick));

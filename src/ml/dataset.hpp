@@ -29,6 +29,14 @@ class Dataset {
   /// Append one (x, y) pair; x must have num_features entries.
   void add_row(std::span<const double> features, double target);
 
+  /// Reserve room for `rows` rows, so appending them does not reallocate.
+  void reserve(std::size_t rows);
+
+  /// Overwrite feature `j` of row `i`.
+  void set_feature(std::size_t i, std::size_t j, double value) {
+    features_[i * num_features_ + j] = value;
+  }
+
   std::span<const double> row(std::size_t i) const {
     return {features_.data() + i * num_features_, num_features_};
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -32,8 +31,8 @@ void RandomForest::fit(const Dataset& train) {
           ? params_.max_features
           : std::max<std::size_t>(1, (m + 2) / 3);  // ceil(m/3)
 
-  trees_.clear();
-  trees_.reserve(params_.num_trees);
+  std::vector<RegressionTree> trees;
+  trees.reserve(params_.num_trees);
   std::vector<std::vector<std::size_t>> bags(params_.num_trees);
 
   // Derive per-tree seeds up front so results are identical whether fitting
@@ -51,7 +50,7 @@ void RandomForest::fit(const Dataset& train) {
     tp.min_samples_split = params_.min_samples_split;
     tp.max_features = max_features;
     tp.seed = tree_seeds[t];
-    trees_.emplace_back(tp);
+    trees.emplace_back(tp);
   }
 
   const auto fit_one = [&](std::size_t t) {
@@ -59,7 +58,7 @@ void RandomForest::fit(const Dataset& train) {
     std::vector<std::size_t>& bag = bags[t];
     bag.resize(train.num_rows());
     for (auto& r : bag) r = static_cast<std::size_t>(rng.below(train.num_rows()));
-    trees_[t].fit(train.subset(bag));
+    trees[t].fit(train.subset(bag));
   };
 
   if (params_.parallel_fit && params_.num_trees > 1) {
@@ -67,6 +66,17 @@ void RandomForest::fit(const Dataset& train) {
   } else {
     for (std::size_t t = 0; t < params_.num_trees; ++t) fit_one(t);
   }
+
+  nodes_.clear();
+  roots_.clear();
+  num_features_ = m;
+  std::size_t total_nodes = 0;
+  for (const auto& tree : trees) total_nodes += tree.node_count();
+  PT_REQUIRE(total_nodes <= std::numeric_limits<std::uint32_t>::max(),
+             "forest too large to flatten");
+  nodes_.reserve(total_nodes);
+  roots_.reserve(trees.size());
+  for (const auto& tree : trees) append_flat(tree);
 
   // Out-of-bag error: for each training row, average the predictions of the
   // trees whose bootstrap bag does not contain it.
@@ -81,7 +91,7 @@ void RandomForest::fit(const Dataset& train) {
     std::size_t votes = 0;
     for (std::size_t t = 0; t < params_.num_trees; ++t) {
       if (!bag_masks[t][i]) {
-        sum += trees_[t].predict(train.row(i));
+        sum += walk(roots_[t], train.row(i).data());
         ++votes;
       }
     }
@@ -95,52 +105,51 @@ void RandomForest::fit(const Dataset& train) {
                   : std::numeric_limits<double>::quiet_NaN();
   if (covered > 0) metrics.gauge("forest.oob_rmse").set(oob_rmse_);
   fit_span.add_field({"oob_rmse", oob_rmse_});
+}
 
-  // Permutation feature importance on the training set: importance of
-  // feature j = increase in MSE when column j is shuffled.
-  importances_.assign(m, 0.0);
-  const std::size_t n = train.num_rows();
-  std::vector<double> base_pred(n);
-  for (std::size_t i = 0; i < n; ++i) base_pred[i] = predict(train.row(i));
-  double base_mse = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = base_pred[i] - train.target(i);
-    base_mse += e * e;
-  }
-  base_mse /= static_cast<double>(n);
-  Rng perm_rng(params_.seed ^ 0xabcdef12345ULL);
-  std::vector<double> x;
-  for (std::size_t j = 0; j < m; ++j) {
-    auto order = perm_rng.permutation(n);
-    double mse = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      x.assign(train.row(i).begin(), train.row(i).end());
-      x[j] = train.row(order[i])[j];
-      const double e = predict(x) - train.target(i);
-      mse += e * e;
+void RandomForest::append_flat(const RegressionTree& tree) {
+  const auto base = static_cast<std::uint32_t>(nodes_.size());
+  roots_.push_back(base);
+  for (std::size_t i = 0; i < tree.nodes_.size(); ++i) {
+    const RegressionTree::Node& n = tree.nodes_[i];
+    if (n.is_leaf()) {
+      nodes_.push_back({n.value, -1, 0});
+      continue;
     }
-    mse /= static_cast<double>(n);
-    importances_[j] = std::max(0.0, mse - base_mse);
+    // RegressionTree::build is preorder: a left child follows its parent.
+    PT_ASSERT(n.left == i + 1);
+    PT_ASSERT(n.feature <= static_cast<std::size_t>(
+                               std::numeric_limits<std::int32_t>::max()));
+    nodes_.push_back({n.threshold, static_cast<std::int32_t>(n.feature),
+                      base + static_cast<std::uint32_t>(n.right)});
   }
-  const double total =
-      std::accumulate(importances_.begin(), importances_.end(), 0.0);
-  if (total > 0.0)
-    for (auto& v : importances_) v /= total;
 }
 
 double RandomForest::predict(std::span<const double> x) const {
   PT_REQUIRE(is_fitted(), "predict() before fit()");
+  PT_REQUIRE(x.size() == num_features_, "feature arity mismatch");
   double sum = 0.0;
-  for (const auto& t : trees_) sum += t.predict(x);
-  return sum / static_cast<double>(trees_.size());
+  for (const std::uint32_t root : roots_) sum += walk(root, x.data());
+  return sum / static_cast<double>(roots_.size());
 }
 
 std::vector<double> RandomForest::predict_batch(const Dataset& rows) const {
   PT_REQUIRE(is_fitted(), "predict_batch() before fit()");
-  std::vector<double> out(rows.num_rows());
-  ThreadPool::global().parallel_for(0, rows.num_rows(), [&](std::size_t i) {
-    out[i] = predict(rows.row(i));
-  });
+  const std::size_t n = rows.num_rows();
+  std::vector<double> out(n, 0.0);
+  if (n == 0) return out;
+  PT_REQUIRE(rows.num_features() == num_features_, "feature arity mismatch");
+  // Tree-major over blocks of rows: out[i] accumulates row i's sum in
+  // tree order, exactly as predict() does, so results are bit-identical.
+  constexpr std::size_t kBlock = 128;
+  for (std::size_t lo = 0; lo < n; lo += kBlock) {
+    const std::size_t hi = std::min(n, lo + kBlock);
+    for (const std::uint32_t root : roots_)
+      for (std::size_t i = lo; i < hi; ++i)
+        out[i] += walk(root, rows.row(i).data());
+  }
+  const auto trees = static_cast<double>(roots_.size());
+  for (double& y : out) y /= trees;
   return out;
 }
 

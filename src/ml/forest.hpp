@@ -4,6 +4,14 @@
 // bootstrap resample of T_a with per-split feature subsampling; the
 // prediction is the mean of the trees' predictions. Tree fitting is
 // parallelized over the support thread pool.
+//
+// Inference never touches the RegressionTree objects: once grown, every
+// tree is flattened into one contiguous array of 16-byte nodes for the
+// whole forest, and predict / predict_batch / the out-of-bag estimate walk
+// that. predict_batch walks tree-major over blocks of rows, so one tree's
+// nodes stay hot while the block streams through them; each row's sum is
+// still accumulated in tree order and divided once, so a batch prediction
+// is bit-identical to predict() on the same row.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +38,43 @@ class RandomForest final : public Regressor {
 
   void fit(const Dataset& train) override;
   double predict(std::span<const double> x) const override;
+  /// Serial: callers fan out over blocks of rows (tuner::predict_all), so
+  /// no parallel fan-out ever runs inside another.
   std::vector<double> predict_batch(const Dataset& rows) const override;
-  bool is_fitted() const noexcept override { return !trees_.empty(); }
+  bool is_fitted() const noexcept override { return !roots_.empty(); }
   std::string name() const override { return "random_forest"; }
 
-  std::size_t num_trees() const noexcept { return trees_.size(); }
-  const RegressionTree& tree(std::size_t i) const { return trees_.at(i); }
+  std::size_t num_trees() const noexcept { return roots_.size(); }
 
   /// Out-of-bag RMSE estimate computed during fit (NaN if unavailable).
   double oob_rmse() const noexcept { return oob_rmse_; }
 
-  /// Mean-decrease-in-variance feature importances, normalized to sum 1.
-  /// Computed by permutation on the training set after fit.
-  std::vector<double> feature_importances() const noexcept {
-    return importances_;
+ private:
+  /// One node of a flattened tree. An internal node's left child is the
+  /// next node (trees are built preorder) and `right` indexes the forest
+  /// array; a leaf has feature -1 and its mean target in `value`.
+  struct FlatNode {
+    double value;  ///< split threshold, or the leaf's prediction
+    std::int32_t feature;
+    std::uint32_t right;
+  };
+  static_assert(sizeof(FlatNode) == 16);
+
+  void append_flat(const RegressionTree& tree);
+  /// The prediction of the tree rooted at `node` for feature row `x`.
+  double walk(std::uint32_t node, const double* x) const noexcept {
+    for (;;) {
+      const FlatNode& n = nodes_[node];
+      if (n.feature < 0) return n.value;
+      node = x[n.feature] <= n.value ? node + 1 : n.right;
+    }
   }
 
- private:
   ForestParams params_;
-  std::vector<RegressionTree> trees_;
+  std::vector<FlatNode> nodes_;
+  std::vector<std::uint32_t> roots_;  ///< each tree's root in nodes_
+  std::size_t num_features_ = 0;
   double oob_rmse_ = 0.0;
-  std::vector<double> importances_;
 };
 
 }  // namespace portatune::ml

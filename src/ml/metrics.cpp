@@ -1,6 +1,8 @@
 #include "ml/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "support/error.hpp"
 #include "support/stats.hpp"
@@ -68,6 +70,40 @@ double kfold_rmse(const Dataset& data, std::size_t folds,
     }
   }
   return std::sqrt(sse / static_cast<double>(count));
+}
+
+std::vector<double> permutation_importance(const Regressor& model,
+                                           const Dataset& data,
+                                           std::uint64_t seed) {
+  PT_REQUIRE(!data.empty(), "permutation importance of an empty dataset");
+  const std::size_t n = data.num_rows();
+  const auto mse = [&](const std::vector<double>& pred) {
+    double sse = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double e = pred[i] - data.target(i);
+      sse += e * e;
+    }
+    return sse / static_cast<double>(n);
+  };
+  const double base_mse = mse(model.predict_batch(data));
+
+  Rng perm_rng(seed ^ 0xabcdef12345ULL);
+  Dataset shuffled = data;
+  std::vector<double> importances(data.num_features(), 0.0);
+  for (std::size_t j = 0; j < importances.size(); ++j) {
+    const auto order = perm_rng.permutation(n);
+    for (std::size_t i = 0; i < n; ++i)
+      shuffled.set_feature(i, j, data.row(order[i])[j]);
+    importances[j] =
+        std::max(0.0, mse(model.predict_batch(shuffled)) - base_mse);
+    for (std::size_t i = 0; i < n; ++i)
+      shuffled.set_feature(i, j, data.row(i)[j]);
+  }
+  const double total =
+      std::accumulate(importances.begin(), importances.end(), 0.0);
+  if (total > 0.0)
+    for (auto& v : importances) v /= total;
+  return importances;
 }
 
 }  // namespace portatune::ml

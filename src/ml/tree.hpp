@@ -53,6 +53,8 @@ class RegressionTree final : public Regressor {
   std::string to_dot(const std::vector<std::string>& feature_names = {}) const;
 
  private:
+  friend class RandomForest;  // flattens fitted trees for inference
+
   struct Node {
     // Internal node: feature/threshold valid, children indices set.
     // Leaf: left == npos, `value` is the mean target of its rows.

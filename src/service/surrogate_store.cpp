@@ -260,24 +260,17 @@ void SurrogateStore::load_index() {
 std::vector<double> measure_fingerprint(tuner::Evaluator& eval,
                                         std::size_t probes) {
   PT_REQUIRE(probes >= 3, "need at least three fingerprint probes");
-  // Walk the canonical probe stream, skipping configurations that fail.
-  // A failure here is a deterministic property of the configuration (an
-  // invalid tile combination, say), not of the machine, so every machine
-  // skips the same draws and the vectors stay element-aligned — the same
-  // discipline measure_similarity applies when probing two machines
-  // side by side.
-  tuner::ConfigStream stream(eval.space(), tuner::kFingerprintSeed);
+  // The canonical probe stream, skipping configurations that fail — the
+  // discipline measure_similarity applies when probing two machines side
+  // by side, so fingerprints stay element-aligned across machines.
   std::vector<double> fp;
   fp.reserve(probes);
-  std::size_t attempts = 0;
-  while (fp.size() < probes && attempts < probes * 50) {
-    ++attempts;
-    auto c = stream.next();
-    if (!c) break;
-    const tuner::EvalResult r = eval.evaluate(*c);
-    if (!r.ok) continue;
-    fp.push_back(r.seconds);
-  }
+  tuner::walk_probes(eval.space(), tuner::kFingerprintSeed, probes,
+                     [&](const tuner::ParamConfig& c) {
+                       const tuner::EvalResult r = eval.evaluate(c);
+                       if (r.ok) fp.push_back(r.seconds);
+                       return r.ok;
+                     });
   PT_REQUIRE(fp.size() >= 3,
              "too few fingerprint probes succeeded (" +
                  std::to_string(fp.size()) + " of " +

@@ -6,6 +6,60 @@
 
 namespace portatune {
 
+// Observer lifetime. Every callback runs inside a "pin": the thread counts
+// itself in g_callers, then (re)loads the installed observer. An installer
+// first clears the pointer, then waits for g_callers to drain, so once it
+// returns no thread can still be inside — or about to enter — a callback
+// of the observer it replaced. Both sides use seq_cst: either the pin is
+// visible to the installer's wait, or the pinned load sees the cleared
+// pointer. g_generation counts installations, so a task's on_finish goes
+// only to the very installation that saw its on_start, even if a new
+// observer reuses the old one's address. The dormant path (no observer)
+// never pins: it is the one acquire load of the pointer it always was.
+namespace {
+
+std::atomic<std::size_t> g_callers{0};
+std::atomic<std::uint64_t> g_generation{0};
+
+class CallbackPin {
+ public:
+  CallbackPin() noexcept { g_callers.fetch_add(1); }
+  ~CallbackPin() { g_callers.fetch_sub(1); }
+  CallbackPin(const CallbackPin&) = delete;
+  CallbackPin& operator=(const CallbackPin&) = delete;
+};
+
+/// One installation of an observer, as seen by a task.
+struct Installation {
+  ThreadPoolObserver* observer = nullptr;
+  std::uint64_t generation = 0;
+};
+
+/// The current installation. Call only while pinned.
+Installation current_installation() noexcept {
+  Installation now;
+  now.observer = detail::g_pool_observer.load();
+  now.generation = g_generation.load();
+  return now;
+}
+
+}  // namespace
+
+void detail::notify_submit(std::size_t queue_depth) noexcept {
+  const CallbackPin pin;
+  if (ThreadPoolObserver* const o = detail::g_pool_observer.load())
+    o->on_submit(queue_depth);
+}
+
+void set_thread_pool_observer(ThreadPoolObserver* observer) noexcept {
+  static std::mutex install_mutex;
+  const std::lock_guard lock(install_mutex);
+  detail::g_pool_observer.store(nullptr);
+  while (g_callers.load() != 0) std::this_thread::yield();
+  g_generation.fetch_add(1);
+  detail::g_pool_observer.store(observer);
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -35,24 +89,33 @@ void ThreadPool::worker_loop() {
       queue_.pop();
       depth = queue_.size();
     }
-    ThreadPoolObserver* const observer = thread_pool_observer();
-    if (observer == nullptr) {
+    if (thread_pool_observer() == nullptr) {
       task.fn();
       continue;
     }
     const auto start = std::chrono::steady_clock::now();
-    // A zero enqueue stamp means the observer was installed after this
-    // task was queued; report an unknown (zero) wait rather than a bogus
-    // epoch-relative one.
-    const double wait =
-        task.enqueued.time_since_epoch().count() != 0
-            ? std::chrono::duration<double>(start - task.enqueued).count()
-            : 0.0;
-    observer->on_start(wait, depth);
+    Installation seen;
+    {
+      const CallbackPin pin;
+      seen = current_installation();
+      // A zero enqueue stamp means the observer was installed after this
+      // task was queued; report an unknown (zero) wait rather than a bogus
+      // epoch-relative one.
+      const double wait =
+          task.enqueued.time_since_epoch().count() != 0
+              ? std::chrono::duration<double>(start - task.enqueued).count()
+              : 0.0;
+      if (seen.observer != nullptr) seen.observer->on_start(wait, depth);
+    }
     task.fn();
-    observer->on_finish(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count());
+    if (seen.observer == nullptr) continue;
+    const double execute = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    const CallbackPin pin;
+    const Installation now = current_installation();
+    if (now.observer == seen.observer && now.generation == seen.generation)
+      seen.observer->on_finish(execute);
   }
 }
 

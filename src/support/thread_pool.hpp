@@ -19,6 +19,7 @@
 //     implementation, publishing pool.* instruments).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -57,17 +58,20 @@ class ThreadPoolObserver {
 
 namespace detail {
 inline std::atomic<ThreadPoolObserver*> g_pool_observer{nullptr};
+/// Report one submit to the installed observer (see the .cpp).
+void notify_submit(std::size_t queue_depth) noexcept;
 }  // namespace detail
 
 /// The installed observer (nullptr = telemetry off, the dormant default).
 inline ThreadPoolObserver* thread_pool_observer() noexcept {
   return detail::g_pool_observer.load(std::memory_order_acquire);
 }
-/// Install a process-wide observer (non-owning; nullptr to disable). The
-/// observer must outlive its installation.
-inline void set_thread_pool_observer(ThreadPoolObserver* observer) noexcept {
-  detail::g_pool_observer.store(observer, std::memory_order_release);
-}
+/// Install a process-wide observer (non-owning; nullptr to disable).
+/// Returns only once no thread is inside a callback of the observer it
+/// replaced, so that observer may be destroyed right after; a task that
+/// started under it and finishes later reports its on_finish to nobody.
+/// Must not be called from inside an observer callback.
+void set_thread_pool_observer(ThreadPoolObserver* observer) noexcept;
 
 class ThreadPool {
  public:
@@ -104,7 +108,7 @@ class ThreadPool {
                               : std::chrono::steady_clock::time_point{}});
       depth = queue_.size();
     }
-    if (observer != nullptr) observer->on_submit(depth);
+    if (observer != nullptr) detail::notify_submit(depth);
     cv_.notify_one();
     return fut;
   }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,8 @@ class ParamSpace {
 
   /// Feature vector (actual values) for the surrogate model.
   std::vector<double> features(const ParamConfig& c) const;
+  /// The same, written into `out` (num_params() entries).
+  void features(const ParamConfig& c, std::span<double> out) const;
 
   /// Stable 64-bit hash of a configuration (noise keys, dedup sets).
   std::uint64_t config_hash(const ParamConfig& c) const;

@@ -71,4 +71,17 @@ std::vector<ParamConfig> probe_configs(const ParamSpace& space,
   return out;
 }
 
+void walk_probes(const ParamSpace& space, std::uint64_t seed,
+                 std::size_t count,
+                 const std::function<bool(const ParamConfig&)>& probe) {
+  ConfigStream stream(space, seed);
+  std::size_t accepted = 0;
+  for (std::size_t attempts = 0; accepted < count && attempts < count * 50;
+       ++attempts) {
+    const auto c = stream.next();
+    if (!c) break;
+    if (probe(*c)) ++accepted;
+  }
+}
+
 }  // namespace portatune::tuner

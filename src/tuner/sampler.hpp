@@ -7,6 +7,7 @@
 // the same configurations in the same order.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <unordered_set>
 #include <vector>
@@ -54,5 +55,16 @@ class ConfigStream {
 std::vector<ParamConfig> probe_configs(const ParamSpace& space,
                                        std::size_t count,
                                        std::uint64_t seed);
+
+/// Walk the stream seeded with `seed`, handing each draw to `probe`, which
+/// returns false to skip it (a configuration that failed to evaluate),
+/// until `count` draws were accepted, `count * 50` were tried, or the
+/// stream ran out. measure_similarity and the surrogate store's machine
+/// fingerprints both probe through this. A failure is a property of the
+/// configuration, not of the machine, so every machine skips the same
+/// draws and their probe vectors stay element-aligned.
+void walk_probes(const ParamSpace& space, std::uint64_t seed,
+                 std::size_t count,
+                 const std::function<bool(const ParamConfig&)>& probe);
 
 }  // namespace portatune::tuner

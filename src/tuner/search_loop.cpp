@@ -12,14 +12,22 @@ std::vector<double> predict_all(const ml::Regressor& model,
                                 const ParamSpace& space,
                                 const std::vector<ParamConfig>& configs) {
   std::vector<double> pred(configs.size());
-  const auto body = [&](std::size_t i) {
-    pred[i] = model.predict(space.features(configs[i]));
-  };
-  constexpr std::size_t kParallelThreshold = 256;
-  if (configs.size() >= kParallelThreshold)
-    ThreadPool::global().parallel_for(0, configs.size(), body);
-  else
-    for (std::size_t i = 0; i < configs.size(); ++i) body(i);
+  const std::size_t blocks =
+      (configs.size() + kPredictBlock - 1) / kPredictBlock;
+  ThreadPool::global().parallel_for(0, blocks, [&](std::size_t b) {
+    const std::size_t lo = b * kPredictBlock;
+    const std::size_t hi = std::min(configs.size(), lo + kPredictBlock);
+    ml::Dataset rows(space.num_params());
+    rows.reserve(hi - lo);
+    std::vector<double> x(space.num_params());
+    for (std::size_t i = lo; i < hi; ++i) {
+      space.features(configs[i], x);
+      rows.add_row(x, 0.0);
+    }
+    const std::vector<double> y = model.predict_batch(rows);
+    std::copy(y.begin(), y.end(),
+              pred.begin() + static_cast<std::ptrdiff_t>(lo));
+  });
   return pred;
 }
 

@@ -21,10 +21,17 @@
 
 namespace portatune::tuner {
 
-/// Order-preserving batch prediction over a candidate pool. predict() is
-/// a pure const read of the fitted model, so fanning it out over the
-/// shared pool is deterministic: pred[i] depends only on configs[i].
-/// Small pools stay serial — dispatch would cost more than it saves.
+/// Rows per predict_all block. A block's feature matrix stays small (RT's
+/// 247 features make it 250 KB), where featurizing a whole 10 000-config
+/// pool at once would take 20 MB.
+inline constexpr std::size_t kPredictBlock = 128;
+
+/// Order-preserving batch prediction over a candidate pool: the pool's
+/// only fan-out. Each task featurizes one block of kPredictBlock configs
+/// into a row-major ml::Dataset and scores it with one predict_batch
+/// call. Prediction is a pure const read of the fitted model, so the
+/// result is deterministic: pred[i] depends only on configs[i]. A pool
+/// of one block stays on the calling thread.
 std::vector<double> predict_all(const ml::Regressor& model,
                                 const ParamSpace& space,
                                 const std::vector<ParamConfig>& configs);

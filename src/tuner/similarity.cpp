@@ -39,21 +39,18 @@ SimilarityReport measure_similarity(Evaluator& source, Evaluator& target,
                                     const SimilarityOptions& opt) {
   PT_REQUIRE(opt.probes >= 3, "need at least three probes");
 
-  ConfigStream stream(source.space(), opt.seed);
   std::vector<double> ya, yb;
-  // Draw until `probes` configurations succeed on both machines (capped).
-  std::size_t attempts = 0;
-  while (ya.size() < opt.probes && attempts < opt.probes * 50) {
-    ++attempts;
-    auto c = stream.next();
-    if (!c) break;
-    const auto ra = source.evaluate(*c);
-    if (!ra.ok) continue;
-    const auto rb = target.evaluate(*c);
-    if (!rb.ok) continue;
-    ya.push_back(ra.seconds);
-    yb.push_back(rb.seconds);
-  }
+  // Probe until `probes` configurations succeed on both machines.
+  walk_probes(source.space(), opt.seed, opt.probes,
+              [&](const ParamConfig& c) {
+                const auto ra = source.evaluate(c);
+                if (!ra.ok) return false;
+                const auto rb = target.evaluate(c);
+                if (!rb.ok) return false;
+                ya.push_back(ra.seconds);
+                yb.push_back(rb.seconds);
+                return true;
+              });
   return summarize_probe_vectors(ya, yb, opt.top_fraction);
 }
 

@@ -50,13 +50,17 @@ void EvalWatchdog::expire_now(std::uint64_t id) noexcept {
     if (it == entries_.end()) return;  // monitor already fired + reported
     entry = std::move(it->second);
     entries_.erase(it);
+    hangs_.fetch_add(1, std::memory_order_relaxed);
   }
   report_hang(entry);
 }
 
+// hangs_ is bumped under mutex_, in the step that detaches the entry: a
+// caller whose expire() finds its entry already taken by the monitor, or
+// whose attempt the cancellation below wakes, must already see the hang
+// counted.
 void EvalWatchdog::report_hang(Entry& entry) noexcept {
   entry.source.request_cancel();
-  hangs_.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::current().counter("eval.hang_detected").add(1);
   if (obs::enabled(obs::Severity::Warn))
     obs::emit(obs::make_instant(
@@ -116,6 +120,7 @@ void EvalWatchdog::monitor_loop() {
       if (it->second.deadline <= now) {
         fired.push_back(std::move(it->second));
         it = entries_.erase(it);
+        hangs_.fetch_add(1, std::memory_order_relaxed);
       } else {
         ++it;
       }

@@ -111,7 +111,7 @@ TEST(RandomForest, ImportancesIdentifyRelevantFeatures) {
   p.num_trees = 32;
   RandomForest f(p);
   f.fit(d);
-  const auto imp = f.feature_importances();
+  const auto imp = permutation_importance(f, d, p.seed);
   ASSERT_EQ(imp.size(), 4u);
   double sum = 0;
   for (double v : imp) sum += v;
@@ -129,6 +129,46 @@ TEST(RandomForest, PredictBatchMatchesScalarPredict) {
   const auto batch = f.predict_batch(d);
   for (std::size_t i = 0; i < d.num_rows(); ++i)
     EXPECT_DOUBLE_EQ(batch[i], f.predict(d.row(i)));
+}
+
+TEST(RandomForest, PredictBatchIsBitIdenticalOnWideData) {
+  // RT's width (247 features); 300 rows is not a multiple of the
+  // 128-row block predict_batch walks.
+  constexpr std::size_t kFeatures = 247;
+  Rng rng(16);
+  const auto random_rows = [&](std::size_t n) {
+    Dataset d(kFeatures);
+    std::vector<double> x(kFeatures);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double& v : x) v = rng.uniform();
+      d.add_row(x, 3 * x[0] + std::sin(6 * x[5]) + x[200] * x[17]);
+    }
+    return d;
+  };
+  const Dataset train = random_rows(100);
+  const Dataset rows = random_rows(300);
+  ForestParams p;
+  p.seed = 17;
+  RandomForest f(p);
+  f.fit(train);
+  const auto batch = f.predict_batch(rows);
+  ASSERT_EQ(batch.size(), rows.num_rows());
+  for (std::size_t i = 0; i < rows.num_rows(); ++i)
+    EXPECT_EQ(batch[i], f.predict(rows.row(i))) << "row " << i;
+}
+
+TEST(PermutationImportance, MatchesTheImportancesFitUsedToCompute) {
+  // Golden: the importances RandomForest::fit computed itself, printed as
+  // hexfloats, before the computation moved out of fit. Same data,
+  // forest and seed, so the values must match bit for bit.
+  const auto d = friedman_like(500, 11);
+  ForestParams p;
+  p.num_trees = 32;
+  RandomForest f(p);
+  f.fit(d);
+  const std::vector<double> golden{0x1.9ddcd58f2ae52p-2, 0x1.c94ed49207f2dp-2,
+                                   0x1.28fe62f5bf5b3p-3, 0x1.154918fb5e9e8p-8};
+  EXPECT_EQ(permutation_importance(f, d, p.seed), golden);
 }
 
 class ForestSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "support/thread_pool.hpp"
 
@@ -72,6 +75,85 @@ TEST(ThreadPoolMetrics, CountsEveryPoolInTheProcess) {
   EXPECT_EQ(registry.counter("pool.tasks_submitted").value(),
             registry.counter("pool.tasks_completed").value());
   EXPECT_GE(registry.counter("pool.tasks_completed").value(), 2u);
+}
+
+/// Counts the callbacks in flight and flags any that begins after the
+/// test marked it retired (once its uninstallation returned).
+class ProbeObserver final : public ThreadPoolObserver {
+ public:
+  void on_submit(std::size_t) noexcept override { enter(); leave(); }
+  void on_start(double, std::size_t) noexcept override {
+    enter();
+    starts.fetch_add(1);
+    leave();
+  }
+  void on_finish(double) noexcept override { enter(); leave(); }
+
+  std::atomic<int> inside{0};
+  std::atomic<int> starts{0};
+  std::atomic<bool> retired{false};
+  std::atomic<int> late{0};
+
+ private:
+  void enter() noexcept {
+    inside.fetch_add(1);
+    if (retired.load()) late.fetch_add(1);
+  }
+  void leave() noexcept { inside.fetch_sub(1); }
+};
+
+/// Keeps a parallel_for fan-out running on `pool` until destroyed.
+class FanOutLoop {
+ public:
+  explicit FanOutLoop(ThreadPool& pool)
+      : thread_([this, &pool] {
+          while (!stop_.load()) pool.parallel_for(0, 64, [](std::size_t) {});
+        }) {}
+  ~FanOutLoop() {
+    stop_.store(true);
+    thread_.join();
+  }
+  FanOutLoop(const FanOutLoop&) = delete;
+  FanOutLoop& operator=(const FanOutLoop&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(ThreadPoolMetrics, UninstallMidFanOutWaitsForCallbacksInFlight) {
+  ThreadPool pool(4);
+  std::vector<std::unique_ptr<ProbeObserver>> probes;
+  {
+    FanOutLoop fan_out(pool);
+    for (int round = 0; round < 50; ++round) {
+      auto& probe = *probes.emplace_back(std::make_unique<ProbeObserver>());
+      set_thread_pool_observer(&probe);
+      // Uninstall only once workers are reporting to this observer.
+      while (probe.starts.load() < 8) std::this_thread::yield();
+      set_thread_pool_observer(nullptr);
+      probe.retired.store(true);
+      EXPECT_EQ(probe.inside.load(), 0) << "round " << round;
+    }
+  }
+  for (const auto& probe : probes) EXPECT_EQ(probe->late.load(), 0);
+}
+
+TEST(ThreadPoolMetrics, ScopeMayEndMidFanOut) {
+  // The CLI's shutdown order: the telemetry scope (and with it the
+  // observer) is destroyed while global-pool workers may still be
+  // finishing tasks. Sanitizer builds catch any callback into the
+  // destroyed observer.
+  MetricsRegistry registry;
+  ThreadPool pool(4);
+  FanOutLoop fan_out(pool);
+  Counter& completed = registry.counter("pool.tasks_completed");
+  for (int round = 0; round < 50; ++round) {
+    const std::uint64_t before = completed.value();
+    ScopedThreadPoolMetrics metrics(&registry);
+    while (completed.value() < before + 8) std::this_thread::yield();
+  }
+  EXPECT_EQ(thread_pool_observer(), nullptr);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "ml/forest.hpp"
+#include "ml/knn.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "support/stats.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
@@ -191,6 +193,33 @@ TEST(BiasedSearch, TransfersOptimumOnCorrelatedMachines) {
   // The guided search must find a config at least as good as plain RS
   // with the same budget on this strongly correlated pair.
   EXPECT_LE(biased.best_seconds(), plain.best_seconds());
+}
+
+TEST(PredictAll, BlockedFanOutMatchesPerRowPredict) {
+  // Three full blocks and a ragged tail, scored across the global pool,
+  // must equal a serial per-row loop bit for bit — for the forest's own
+  // tree-major predict_batch and for the default per-row one (kNN).
+  auto a = machine_a();
+  RandomSearchOptions opt;
+  opt.max_evals = 60;
+  opt.seed = 8;
+  const auto data = random_search(a, opt).to_dataset(a.space());
+  const std::size_t n = 3 * kPredictBlock + 37;
+  const auto pool = probe_configs(a.space(), n, 9);
+  ASSERT_EQ(pool.size(), n);
+  ml::RandomForest forest;
+  forest.fit(data);
+  ml::KnnRegressor knn;
+  knn.fit(data);
+  for (const ml::Regressor* model :
+       {static_cast<const ml::Regressor*>(&forest),
+        static_cast<const ml::Regressor*>(&knn)}) {
+    const auto pred = predict_all(*model, a.space(), pool);
+    ASSERT_EQ(pred.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(pred[i], model->predict(a.space().features(pool[i])))
+          << model->name() << " row " << i;
+  }
 }
 
 TEST(ModelFree, PrunedUsesSourceQuantile) {
