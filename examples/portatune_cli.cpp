@@ -546,9 +546,7 @@ int cmd_transfer(const Args& a) {
                 a.from.c_str());
     const auto model = tuner::fit_surrogate(ta, source->space());
     tuner::BiasedSearchOptions opt;
-    opt.max_evals = a.nmax;
-    opt.seed = a.seed;
-    opt.guard = cfg.guard_options();
+    static_cast<tuner::SearchCommon&>(opt) = cfg.search_common();
     opt.guard.refit_source = &ta;
     opt.guard.on_transition = [](const tuner::GuardTransition& tr) {
       std::printf("guard: RS_b %s->%s @%zu (%s, trust=%.3f)\n",

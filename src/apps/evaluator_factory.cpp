@@ -14,8 +14,7 @@ bool injects_faults(const tuner::FaultProfile& p) {
 }  // namespace
 
 EvaluatorStack::EvaluatorStack(const EvaluatorStackOptions& opt)
-    : guard_(opt.guard),
-      backend_(make_simulated_evaluator(opt.problem, opt.machine,
+    : backend_(make_simulated_evaluator(opt.problem, opt.machine,
                                         opt.compiler, opt.kernel_threads)) {
   tuner::Evaluator* top = backend_.get();
   if (injects_faults(opt.faults)) {

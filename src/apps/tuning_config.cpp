@@ -5,11 +5,11 @@
 namespace portatune::apps {
 
 TuningConfig& TuningConfig::problem(std::string name) {
-  problem_ = std::move(name);
+  stack_.problem = std::move(name);
   return *this;
 }
 TuningConfig& TuningConfig::machine(std::string name) {
-  machine_ = std::move(name);
+  stack_.machine = std::move(name);
   return *this;
 }
 TuningConfig& TuningConfig::source_machine(std::string name) {
@@ -18,67 +18,68 @@ TuningConfig& TuningConfig::source_machine(std::string name) {
 }
 TuningConfig& TuningConfig::machines(std::string source, std::string target) {
   source_machine_ = std::move(source);
-  machine_ = std::move(target);
+  stack_.machine = std::move(target);
   return *this;
 }
 TuningConfig& TuningConfig::compiler(sim::Compiler c) {
-  compiler_ = c;
+  stack_.compiler = c;
   return *this;
 }
 TuningConfig& TuningConfig::kernel_threads(int n) {
-  kernel_threads_ = n;
+  stack_.kernel_threads = n;
   return *this;
 }
 TuningConfig& TuningConfig::max_evals(std::size_t n) {
-  max_evals_ = n;
+  search_.nmax = n;
   return *this;
 }
 TuningConfig& TuningConfig::seed(std::uint64_t s) {
-  seed_ = s;
+  search_.seed = s;
   return *this;
 }
 TuningConfig& TuningConfig::pool_size(std::size_t n) {
-  pool_size_ = n;
+  search_.pool_size = n;
   return *this;
 }
 TuningConfig& TuningConfig::delta_percent(double d) {
-  delta_percent_ = d;
+  search_.delta_percent = d;
   return *this;
 }
 TuningConfig& TuningConfig::forest(ml::ForestParams fp) {
-  forest_ = fp;
+  search_.forest = fp;
   return *this;
 }
 TuningConfig& TuningConfig::failure_budget(tuner::FailureBudget fb) {
-  failure_budget_ = fb;
+  search_.failure_budget = fb;
   return *this;
 }
 TuningConfig& TuningConfig::guard(tuner::GuardOptions g) {
-  guard_ = std::move(g);
+  search_.guard = std::move(g);
   return *this;
 }
 TuningConfig& TuningConfig::guard_enabled(bool on) {
-  guard_.enabled = on;
+  search_.guard.enabled = on;
   return *this;
 }
 TuningConfig& TuningConfig::guard_floor(double floor) {
-  guard_.floor = floor;
+  search_.guard.floor = floor;
   return *this;
 }
 TuningConfig& TuningConfig::guard_window(std::size_t window) {
-  guard_.window = window;
+  search_.guard.window = window;
   return *this;
 }
 TuningConfig& TuningConfig::cancel(CancellationToken token) {
-  cancel_ = std::move(token);
+  stack_.cancel = token;
+  search_.cancel = std::move(token);
   return *this;
 }
 TuningConfig& TuningConfig::faults(tuner::FaultProfile profile) {
-  faults_ = profile;
+  stack_.faults = profile;
   return *this;
 }
 TuningConfig& TuningConfig::observe(bool on) {
-  observe_ = on;
+  stack_.observe = on;
   return *this;
 }
 TuningConfig& TuningConfig::observe_label(std::string label) {
@@ -86,49 +87,51 @@ TuningConfig& TuningConfig::observe_label(std::string label) {
   return *this;
 }
 TuningConfig& TuningConfig::resilient(bool on) {
-  resilient_ = on;
+  stack_.resilient = on;
   return *this;
 }
 TuningConfig& TuningConfig::retry(tuner::RetryPolicy policy) {
-  retry_ = policy;
+  stack_.retry = policy;
   return *this;
 }
 TuningConfig& TuningConfig::eval_threads(std::size_t n) {
-  eval_threads_ = n;
+  stack_.eval_threads = n;
   return *this;
 }
 TuningConfig& TuningConfig::batch_width(std::size_t n) {
-  batch_width_ = n;
+  stack_.batch_width = n;
   return *this;
 }
 TuningConfig& TuningConfig::eval_deadline_seconds(double s) {
-  eval_deadline_ = s;
+  stack_.eval_deadline_seconds = s;
   return *this;
 }
 
 const TuningConfig& TuningConfig::validate() const {
-  PT_REQUIRE(!problem_.empty(), "TuningConfig: problem must be named");
-  PT_REQUIRE(!machine_.empty(), "TuningConfig: machine must be named");
-  PT_REQUIRE(max_evals_ > 0, "TuningConfig: max_evals must be positive");
-  PT_REQUIRE(pool_size_ > 0, "TuningConfig: pool_size must be positive");
-  PT_REQUIRE(delta_percent_ > 0.0 && delta_percent_ < 100.0,
+  PT_REQUIRE(!stack_.problem.empty(), "TuningConfig: problem must be named");
+  PT_REQUIRE(!stack_.machine.empty(), "TuningConfig: machine must be named");
+  PT_REQUIRE(search_.nmax > 0, "TuningConfig: max_evals must be positive");
+  PT_REQUIRE(search_.pool_size > 0,
+             "TuningConfig: pool_size must be positive");
+  PT_REQUIRE(search_.delta_percent > 0.0 && search_.delta_percent < 100.0,
              "TuningConfig: delta_percent must lie strictly between 0 "
              "and 100");
-  PT_REQUIRE(kernel_threads_ >= 1,
+  PT_REQUIRE(stack_.kernel_threads >= 1,
              "TuningConfig: kernel_threads must be >= 1");
-  PT_REQUIRE(retry_.max_attempts >= 1,
+  PT_REQUIRE(stack_.retry.max_attempts >= 1,
              "TuningConfig: retry.max_attempts must be >= 1");
-  PT_REQUIRE(eval_deadline_ >= 0.0,
+  PT_REQUIRE(stack_.eval_deadline_seconds >= 0.0,
              "TuningConfig: eval_deadline_seconds must be >= 0");
-  PT_REQUIRE(failure_budget_.max_consecutive > 0 &&
-                 failure_budget_.max_total > 0,
+  const tuner::FailureBudget& fb = search_.failure_budget;
+  PT_REQUIRE(fb.max_consecutive > 0 && fb.max_total > 0,
              "TuningConfig: failure budget bounds must be positive");
-  if (guard_.enabled) {
-    PT_REQUIRE(guard_.floor >= guard_.disable_floor,
+  const tuner::GuardOptions& g = search_.guard;
+  if (g.enabled) {
+    PT_REQUIRE(g.floor >= g.disable_floor,
                "TuningConfig: guard floor must be >= disable_floor");
-    PT_REQUIRE(guard_.window >= guard_.min_observations,
+    PT_REQUIRE(g.window >= g.min_observations,
                "TuningConfig: guard window must hold min_observations");
-    PT_REQUIRE(guard_.sync_window > 0,
+    PT_REQUIRE(g.sync_window > 0,
                "TuningConfig: guard sync_window must be positive");
   }
   return *this;
@@ -137,65 +140,31 @@ const TuningConfig& TuningConfig::validate() const {
 tuner::SearchCommon TuningConfig::search_common() const {
   validate();
   tuner::SearchCommon c;
-  c.max_evals = max_evals_;
-  c.seed = seed_;
-  c.failure_budget = failure_budget_;
-  c.guard = guard_;
-  c.cancel = cancel_;
+  c.max_evals = search_.nmax;
+  c.seed = search_.seed;
+  c.failure_budget = search_.failure_budget;
+  c.guard = search_.guard;
+  c.cancel = search_.cancel;
   return c;
-}
-
-tuner::GuardOptions TuningConfig::guard_options() const {
-  validate();
-  return guard_;
 }
 
 tuner::ExperimentSettings TuningConfig::experiment_settings() const {
   validate();
-  tuner::ExperimentSettings s;
-  s.nmax = max_evals_;
-  s.pool_size = pool_size_;
-  s.delta_percent = delta_percent_;
-  s.seed = seed_;
-  s.forest = forest_;
-  s.failure_budget = failure_budget_;
-  s.guard = guard_;
-  s.cancel = cancel_;
-  return s;
-}
-
-tuner::ParallelOptions TuningConfig::parallel_options() const {
-  validate();
-  tuner::ParallelOptions p;
-  p.threads = eval_threads_;
-  p.batch_width = batch_width_;
-  p.cancel = cancel_;
-  p.eval_deadline_seconds = eval_deadline_;
-  return p;
+  return search_;
 }
 
 tuner::SessionOptions TuningConfig::session_options(std::string id) const {
-  validate();
   tuner::SessionOptions o;
-  o.max_evals = max_evals_;
-  o.seed = seed_;
-  o.failure_budget = failure_budget_;
-  o.guard = guard_;
-  o.cancel = cancel_;
+  static_cast<tuner::SearchCommon&>(o) = search_common();
   o.id = std::move(id);
-  o.pool_size = pool_size_;
+  o.pool_size = search_.pool_size;
   return o;
 }
 
 EvaluatorStackOptions TuningConfig::stack_options(StackRole role) const {
   validate();
-  EvaluatorStackOptions so;
-  so.problem = problem_;
-  so.machine = role == StackRole::Source ? source_machine_ : machine_;
-  so.compiler = compiler_;
-  so.kernel_threads = kernel_threads_;
-  so.faults = faults_;
-  so.observe = observe_;
+  EvaluatorStackOptions so = stack_;
+  if (role == StackRole::Source) so.machine = source_machine_;
   if (!observe_label_.empty()) {
     so.observe_label = observe_label_;
   } else {
@@ -205,13 +174,6 @@ EvaluatorStackOptions TuningConfig::stack_options(StackRole role) const {
       case StackRole::Target: so.observe_label = "eval.target"; break;
     }
   }
-  so.resilient = resilient_;
-  so.retry = retry_;
-  so.eval_threads = eval_threads_;
-  so.batch_width = batch_width_;
-  so.cancel = cancel_;
-  so.eval_deadline_seconds = eval_deadline_;
-  so.guard = guard_;
   return so;
 }
 

@@ -1,16 +1,13 @@
 // TuningConfig: one validated builder for a whole tuning run.
 //
-// Five option structs accumulated over the project's life — SearchCommon,
-// ExperimentSettings, EvaluatorStackOptions, GuardOptions,
-// ParallelOptions — and every driver wired them together by hand, each
-// repeating the same defaults and the same cross-struct invariants (the
-// CRN seed must be shared, the cancel token must reach both the stack and
-// the search, the guard's forest must match the experiment's). This
-// builder is the single composition point: drivers describe the run once,
-// fluently, and produce whichever legacy struct each subsystem still
-// consumes. The legacy structs remain as plain aggregates (designated
-// initialization at existing call sites keeps compiling) but are
-// construction targets now, not the API — new code goes through here.
+// A run is described by two structs: the EvaluatorStackOptions of its
+// decorator stack and the tuner::ExperimentSettings of its searches.
+// TuningConfig holds one of each (plus the transfer's source machine
+// and an optional observation label) and keeps the cross-struct
+// invariants that drivers used to repeat by hand: the CRN seed is
+// shared, the cancel token reaches both the stack and the search, and
+// each role's stack gets its machine and label. Every default lives in
+// the struct that consumes it.
 //
 //     auto cfg = apps::TuningConfig{}
 //                    .problem("LU").machines("Westmere", "Sandybridge")
@@ -29,7 +26,6 @@
 
 #include "apps/evaluator_factory.hpp"
 #include "tuner/experiment.hpp"
-#include "tuner/parallel.hpp"
 #include "tuner/session.hpp"
 
 namespace portatune::apps {
@@ -77,40 +73,24 @@ class TuningConfig {
   TuningConfig& eval_deadline_seconds(double s);
 
   // -- Introspection (CLI summaries, service status) --------------------
-  const std::string& problem() const noexcept { return problem_; }
-  const std::string& machine() const noexcept { return machine_; }
+  /// The stack every role starts from: `machine` is the Single/Target
+  /// machine, and `observe_label` is ignored (see observe_label()).
+  const EvaluatorStackOptions& stack() const noexcept { return stack_; }
+  /// The search settings, exactly as experiment_settings() returns them.
+  const tuner::ExperimentSettings& search() const noexcept { return search_; }
   const std::string& source_machine() const noexcept {
     return source_machine_;
   }
-  std::size_t max_evals() const noexcept { return max_evals_; }
-  std::uint64_t seed() const noexcept { return seed_; }
-  std::size_t eval_threads() const noexcept { return eval_threads_; }
-  std::size_t pool_size() const noexcept { return pool_size_; }
-  int kernel_threads() const noexcept { return kernel_threads_; }
-  sim::Compiler compiler() const noexcept { return compiler_; }
-  double delta_percent() const noexcept { return delta_percent_; }
-  const ml::ForestParams& forest() const noexcept { return forest_; }
-  const tuner::FailureBudget& failure_budget() const noexcept {
-    return failure_budget_;
-  }
-  const tuner::GuardOptions& guard() const noexcept { return guard_; }
-  const tuner::FaultProfile& faults() const noexcept { return faults_; }
-  bool observe() const noexcept { return observe_; }
+  /// Empty = each role's stack gets its role-derived label.
   const std::string& observe_label() const noexcept { return observe_label_; }
-  bool resilient() const noexcept { return resilient_; }
-  const tuner::RetryPolicy& retry() const noexcept { return retry_; }
-  std::size_t batch_width() const noexcept { return batch_width_; }
-  double eval_deadline_seconds() const noexcept { return eval_deadline_; }
 
   /// Check the cross-field invariants; throws portatune::Error with the
   /// offending field named. Every producer below calls this first.
   const TuningConfig& validate() const;
 
-  // -- Producers: the legacy structs, assembled consistently ------------
+  // -- Producers --------------------------------------------------------
   tuner::SearchCommon search_common() const;
-  tuner::GuardOptions guard_options() const;
   tuner::ExperimentSettings experiment_settings() const;
-  tuner::ParallelOptions parallel_options() const;
   tuner::SessionOptions session_options(std::string id) const;
   EvaluatorStackOptions stack_options(StackRole role = StackRole::Single)
       const;
@@ -118,29 +98,10 @@ class TuningConfig {
       StackRole role = StackRole::Single) const;
 
  private:
-  std::string problem_ = "LU";
-  std::string machine_ = "Westmere";
+  EvaluatorStackOptions stack_;
+  tuner::ExperimentSettings search_;
   std::string source_machine_ = "Westmere";
-  sim::Compiler compiler_ = sim::Compiler::Gnu;
-  int kernel_threads_ = 1;
-
-  std::size_t max_evals_ = 100;
-  std::uint64_t seed_ = 20160401;  ///< the shared CRN seed (Sec. IV-D)
-  std::size_t pool_size_ = 10000;
-  double delta_percent_ = 20.0;
-  ml::ForestParams forest_{};
-  tuner::FailureBudget failure_budget_{};
-  tuner::GuardOptions guard_{};
-  CancellationToken cancel_{};
-
-  tuner::FaultProfile faults_{};
-  bool observe_ = false;
-  std::string observe_label_;  ///< empty = role-derived default
-  bool resilient_ = false;
-  tuner::RetryPolicy retry_{};
-  std::size_t eval_threads_ = 1;
-  std::size_t batch_width_ = 0;
-  double eval_deadline_ = 0.0;
+  std::string observe_label_;
 };
 
 }  // namespace portatune::apps

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "support/error.hpp"
 #include "support/span_context.hpp"
 
@@ -33,26 +34,6 @@ std::chrono::steady_clock::time_point process_epoch() noexcept {
 /// Touch the epoch at static-init time so mono timestamps approximate
 /// "since process start" even when the first event is emitted late.
 [[maybe_unused]] const auto g_epoch_init = process_epoch();
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -138,9 +119,9 @@ std::string to_json(const Event& event) {
   out += ",\"level\":\"";
   out += to_string(event.severity);
   out += "\",\"name\":\"";
-  json_escape_into(out, event.name);
+  json::escape_into(out, event.name);
   out += "\",\"cat\":\"";
-  json_escape_into(out, event.category);
+  json::escape_into(out, event.category);
   out += "\"";
   if (event.duration_seconds >= 0.0) {
     char buf[32];
@@ -155,11 +136,11 @@ std::string to_json(const Event& event) {
     out += ",\"parent\":" + std::to_string(event.parent_span_id);
   for (const auto& f : event.fields) {
     out += ",\"";
-    json_escape_into(out, f.key);
+    json::escape_into(out, f.key);
     out += "\":";
     if (f.quoted) {
       out += "\"";
-      json_escape_into(out, f.value);
+      json::escape_into(out, f.value);
       out += "\"";
     } else {
       out += f.value.empty() ? "null" : f.value;

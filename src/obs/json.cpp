@@ -193,7 +193,7 @@ void dump_into(const Value& v, std::string& out);
 
 void dump_string(const std::string& s, std::string& out) {
   out += '"';
-  out += escape(s);
+  escape_into(out, s);
   out += '"';
 }
 
@@ -324,6 +324,11 @@ Value Value::make_object(std::vector<std::pair<std::string, Value>> m) {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  escape_into(out, s);
+  return out;
+}
+
+void escape_into(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -341,7 +346,6 @@ std::string escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 }  // namespace portatune::obs::json

@@ -68,4 +68,7 @@ class Value {
 /// quotes).
 std::string escape(std::string_view s);
 
+/// The same escaping, appended to `out` (no temporary string).
+void escape_into(std::string& out, std::string_view s);
+
 }  // namespace portatune::obs::json

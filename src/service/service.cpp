@@ -45,7 +45,9 @@ Value num(std::size_t v) { return Value::make_number(static_cast<double>(v)); }
 /// members — the cancel token, the guard's on_transition callback and
 /// refit_source pointer — cannot be persisted and reset to defaults.
 Value config_to_json(const apps::TuningConfig& cfg) {
-  const ml::ForestParams& fp = cfg.forest();
+  const apps::EvaluatorStackOptions& st = cfg.stack();
+  const tuner::ExperimentSettings& se = cfg.search();
+  const ml::ForestParams& fp = se.forest;
   Members forest;
   forest.emplace_back("num_trees", num(fp.num_trees));
   forest.emplace_back("max_features", num(fp.max_features));
@@ -55,12 +57,12 @@ Value config_to_json(const apps::TuningConfig& cfg) {
   forest.emplace_back("seed", num(static_cast<double>(fp.seed)));
   forest.emplace_back("parallel_fit", Value::make_bool(fp.parallel_fit));
 
-  const tuner::FailureBudget& fb = cfg.failure_budget();
+  const tuner::FailureBudget& fb = se.failure_budget;
   Members budget;
   budget.emplace_back("max_consecutive", num(fb.max_consecutive));
   budget.emplace_back("max_total", num(fb.max_total));
 
-  const tuner::GuardOptions& g = cfg.guard();
+  const tuner::GuardOptions& g = se.guard;
   Members guard;
   guard.emplace_back("enabled", Value::make_bool(g.enabled));
   guard.emplace_back("window", num(g.window));
@@ -72,7 +74,7 @@ Value config_to_json(const apps::TuningConfig& cfg) {
   guard.emplace_back("refit_target_weight", num(g.refit_target_weight));
   guard.emplace_back("sync_window", num(g.sync_window));
 
-  const tuner::FaultProfile& fa = cfg.faults();
+  const tuner::FaultProfile& fa = st.faults;
   Members faults;
   faults.emplace_back("transient_rate", num(fa.transient_rate));
   faults.emplace_back("deterministic_rate", num(fa.deterministic_rate));
@@ -84,7 +86,7 @@ Value config_to_json(const apps::TuningConfig& cfg) {
   faults.emplace_back("spike_factor", num(fa.spike_factor));
   faults.emplace_back("seed", num(static_cast<double>(fa.seed)));
 
-  const tuner::RetryPolicy& rp = cfg.retry();
+  const tuner::RetryPolicy& rp = st.retry;
   Members retry;
   retry.emplace_back("max_attempts", num(rp.max_attempts));
   retry.emplace_back("backoff_initial", num(rp.backoff_initial));
@@ -100,28 +102,28 @@ Value config_to_json(const apps::TuningConfig& cfg) {
                      Value::make_bool(rp.quarantine_exhausted));
 
   Members m;
-  m.emplace_back("problem", Value::make_string(cfg.problem()));
-  m.emplace_back("machine", Value::make_string(cfg.machine()));
+  m.emplace_back("problem", Value::make_string(st.problem));
+  m.emplace_back("machine", Value::make_string(st.machine));
   m.emplace_back("source_machine", Value::make_string(cfg.source_machine()));
   m.emplace_back("compiler", num(static_cast<double>(
-                                 static_cast<int>(cfg.compiler()))));
-  m.emplace_back("kernel_threads", num(static_cast<double>(
-                                       cfg.kernel_threads())));
-  m.emplace_back("max_evals", num(cfg.max_evals()));
-  m.emplace_back("seed", num(static_cast<double>(cfg.seed())));
-  m.emplace_back("pool_size", num(cfg.pool_size()));
-  m.emplace_back("delta_percent", num(cfg.delta_percent()));
+                                 static_cast<int>(st.compiler))));
+  m.emplace_back("kernel_threads",
+                 num(static_cast<double>(st.kernel_threads)));
+  m.emplace_back("max_evals", num(se.nmax));
+  m.emplace_back("seed", num(static_cast<double>(se.seed)));
+  m.emplace_back("pool_size", num(se.pool_size));
+  m.emplace_back("delta_percent", num(se.delta_percent));
   m.emplace_back("forest", Value::make_object(std::move(forest)));
   m.emplace_back("failure_budget", Value::make_object(std::move(budget)));
   m.emplace_back("guard", Value::make_object(std::move(guard)));
   m.emplace_back("faults", Value::make_object(std::move(faults)));
-  m.emplace_back("observe", Value::make_bool(cfg.observe()));
+  m.emplace_back("observe", Value::make_bool(st.observe));
   m.emplace_back("observe_label", Value::make_string(cfg.observe_label()));
-  m.emplace_back("resilient", Value::make_bool(cfg.resilient()));
+  m.emplace_back("resilient", Value::make_bool(st.resilient));
   m.emplace_back("retry", Value::make_object(std::move(retry)));
-  m.emplace_back("eval_threads", num(cfg.eval_threads()));
-  m.emplace_back("batch_width", num(cfg.batch_width()));
-  m.emplace_back("eval_deadline_seconds", num(cfg.eval_deadline_seconds()));
+  m.emplace_back("eval_threads", num(st.eval_threads));
+  m.emplace_back("batch_width", num(st.batch_width));
+  m.emplace_back("eval_deadline_seconds", num(st.eval_deadline_seconds));
   return Value::make_object(std::move(m));
 }
 
@@ -281,8 +283,8 @@ tuner::SearchTrace SessionHandle::close() {
   // start warm. An empty trace (closed before any step) has nothing to
   // teach.
   if (!trace.empty())
-    service_->publish_trace(cfg_.problem(), cfg_.machine(), trace, space(),
-                            fingerprint_);
+    service_->publish_trace(cfg_.stack().problem, cfg_.stack().machine,
+                            trace, space(), fingerprint_);
   publish_gauges_locked();
   return trace;
 }
@@ -291,10 +293,10 @@ SessionInfo SessionHandle::info() const {
   std::lock_guard lock(mutex_);
   SessionInfo s;
   s.id = id_;
-  s.problem = cfg_.problem();
-  s.machine = cfg_.machine();
+  s.problem = cfg_.stack().problem;
+  s.machine = cfg_.stack().machine;
   s.evals = session_->trace().size();
-  s.budget = cfg_.max_evals();
+  s.budget = cfg_.search().nmax;
   s.best_seconds = session_->trace().best_seconds();
   s.warm = warm_model_ != nullptr;
   s.warm_source = warm_source_;
@@ -317,8 +319,8 @@ void SessionHandle::persist_meta_locked() const {
   std::vector<std::pair<std::string, Value>> m;
   m.emplace_back("portatune_session", Value::make_number(1));
   m.emplace_back("id", Value::make_string(id_));
-  m.emplace_back("problem", Value::make_string(cfg_.problem()));
-  m.emplace_back("machine", Value::make_string(cfg_.machine()));
+  m.emplace_back("problem", Value::make_string(cfg_.stack().problem));
+  m.emplace_back("machine", Value::make_string(cfg_.stack().machine));
   m.emplace_back("config", config_to_json(cfg_));
   m.emplace_back("warm_key", Value::make_string(warm_key_));
   m.emplace_back("warm_source", Value::make_string(warm_source_));
@@ -402,7 +404,8 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
   } else {
     h->fingerprint_ =
         measure_fingerprint(*h->cached_, opt_.fingerprint_probes);
-    if (const auto match = store_.nearest(cfg.problem(), h->fingerprint_)) {
+    if (const auto match =
+            store_.nearest(cfg.stack().problem, h->fingerprint_)) {
       try {
         h->warm_model_ =
             store_.load_surrogate(match->entry, h->cached_->space());

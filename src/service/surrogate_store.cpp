@@ -135,11 +135,9 @@ const StoreEntry& SurrogateStore::put(const std::string& problem,
   slot->fingerprint = std::move(fingerprint);
 
   ensure_directory(entry_dir(*slot));
-  std::ostringstream os;
-  tuner::save_trace_csv(os, trace, space);
   // Atomic trace first, index after: a crash between the two leaves an
   // orphaned trace file, never an index line without its trace.
-  atomic_write_file(entry_dir(*slot) + "/trace.csv", os.str());
+  tuner::save_trace_csv(entry_dir(*slot) + "/trace.csv", trace, space);
   save_index();
   return *slot;
 }

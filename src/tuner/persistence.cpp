@@ -2,29 +2,28 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
-#include <string_view>
 
 #include "support/atomic_file.hpp"
 #include "support/checksum.hpp"
 #include "support/error.hpp"
-#include "support/hash.hpp"
 
 namespace portatune::tuner {
 
 namespace {
 
-std::string read_all(std::istream& is) {
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
+/// The two flavours of the one file format.
+struct Format {
+  const char* name;  ///< magic-line kind and diagnostics name
+  bool elapsed;      ///< rows carry the original elapsed timestamp
+};
+constexpr Format kTrace{"trace", false};
+constexpr Format kCheckpoint{"checkpoint", true};
 
-/// Verify and strip the v3 checksum footer — shared with every other
-/// persistence format (see support/checksum.hpp).
-std::string verify_v3_payload(const std::string& content, const char* what) {
-  return strip_verified_checksum_footer(content, what);
-}
+using MetaWriter = std::function<void(std::ostream&)>;
+using MetaReader =
+    std::function<void(const std::string& key, const std::string& rest)>;
 
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> out;
@@ -52,142 +51,161 @@ int value_to_index(const ParamSpace& space, std::size_t param,
               space.param(param).name);
 }
 
-}  // namespace
-
-void save_trace_csv(std::ostream& os, const SearchTrace& trace,
-                    const ParamSpace& space) {
-  // v3 appends a checksum footer over the whole payload (v2 added the
-  // wall_unix column); load_trace_csv still reads v1/v2 files.
+/// The one writer: magic line, the `# key,...` rows `meta` writes, the
+/// header, one row per entry, and the checksum footer over all of it.
+std::string encode(const Format& format, const SearchTrace& trace,
+                   const ParamSpace& space, const MetaWriter& meta) {
   std::ostringstream payload;
-  payload << "# portatune-trace v3," << trace.algorithm() << ","
-          << trace.problem() << "," << trace.machine() << "\n";
-  const auto names = space.names();
-  for (const auto& n : names) payload << n << ",";
-  payload << "seconds,draw_index,wall_unix\n";
   payload.precision(17);
+  payload << "# portatune-" << format.name << " v3," << trace.algorithm()
+          << "," << trace.problem() << "," << trace.machine() << "\n";
+  if (meta) meta(payload);
+  for (const auto& n : space.names()) payload << n << ",";
+  payload << (format.elapsed ? "seconds,elapsed,draw_index,wall_unix\n"
+                             : "seconds,draw_index,wall_unix\n");
   for (const auto& e : trace.entries()) {
-    const auto features = space.features(e.config);
-    for (double v : features) payload << v << ",";
-    payload << e.seconds << "," << e.draw_index << "," << e.wall_unix
-            << "\n";
+    for (double v : space.features(e.config)) payload << v << ",";
+    payload << e.seconds << ",";
+    if (format.elapsed) payload << e.elapsed << ",";
+    payload << e.draw_index << "," << e.wall_unix << "\n";
   }
-  os << append_checksum_footer(payload.str());
+  return append_checksum_footer(payload.str());
 }
 
-void save_trace_csv(const std::string& path, const SearchTrace& trace,
-                    const ParamSpace& space) {
-  // Serialize in memory and go through the crash-safe replacement path:
-  // a kill mid-save leaves the previous trace file intact, never a torn
-  // one the checksum loader would (correctly but uselessly) reject.
-  std::ostringstream os;
-  save_trace_csv(os, trace, space);
-  atomic_write_file(path, os.str());
-}
-
-SearchTrace load_trace_csv(std::istream& is, const ParamSpace& space) {
-  // v3 files carry a checksum footer over the whole payload; verify it
-  // before any parsing so truncation/corruption fails with a checksum
-  // diagnostic, never a confusing parse error deep in the rows.
-  std::string content = read_all(is);
-  PT_REQUIRE(!content.empty(), "empty trace file");
-  if (content.rfind("# portatune-trace v3,", 0) == 0)
-    content = verify_v3_payload(content, "trace");
-  std::istringstream in(content);
+/// The one reader. The footer is verified before any other byte is
+/// trusted; then the v3 magic line and the header are checked, every
+/// `# key,rest` row goes to `meta` (none are allowed without one), and
+/// the rows are parsed into the returned trace.
+SearchTrace decode(const Format& format, std::istream& is,
+                   const ParamSpace& space, const MetaReader& meta) {
+  const std::string what = format.name;
+  std::ostringstream raw;
+  raw << is.rdbuf();
+  const std::string content = raw.str();
+  PT_REQUIRE(!content.empty(), "empty " + what + " file");
+  std::istringstream in(strip_verified_checksum_footer(content, format.name));
 
   std::string line;
-  PT_REQUIRE(std::getline(in, line), "empty trace file");
-  // v1 files predate the wall_unix column; all versions load.
-  int version = 0;
-  if (line.rfind("# portatune-trace v1,", 0) == 0) version = 1;
-  else if (line.rfind("# portatune-trace v2,", 0) == 0) version = 2;
-  else if (line.rfind("# portatune-trace v3,", 0) == 0) version = 3;
-  PT_REQUIRE(version != 0, "not a portatune trace (bad magic line)");
-  const auto meta = split_csv(line.substr(std::string("# ").size()));
-  PT_REQUIRE(meta.size() == 4, "malformed trace metadata");
-  SearchTrace trace(meta[1], meta[2], meta[3]);
+  std::getline(in, line);
+  PT_REQUIRE(line.rfind("# portatune-" + what + " v3,", 0) == 0,
+             "not a portatune v3 " + what + " (bad magic line)");
+  const auto magic = split_csv(line.substr(2));
+  PT_REQUIRE(magic.size() == 4, "malformed " + what + " metadata");
+  SearchTrace trace(magic[1], magic[2], magic[3]);
 
-  const std::size_t columns =
-      space.num_params() + (version >= 2 ? 3 : 2);
-  PT_REQUIRE(std::getline(in, line), "missing trace header row");
+  // Metadata rows run until the first non-"# " line (the column header).
+  while (std::getline(in, line) && line.rfind("# ", 0) == 0) {
+    const std::string body = line.substr(2);
+    const auto comma = body.find(',');
+    const std::string key = body.substr(0, comma);
+    PT_REQUIRE(meta, "unknown " + what + " metadata key: " + key);
+    meta(key, comma == std::string::npos ? std::string()
+                                         : body.substr(comma + 1));
+  }
+
+  PT_REQUIRE(!in.fail() && !line.empty(),
+             "missing " + what + " header row");
+  const std::size_t np = space.num_params();
+  const std::size_t columns = np + (format.elapsed ? 4 : 3);
   const auto header = split_csv(line);
   PT_REQUIRE(header.size() == columns,
-             "trace header arity does not match the parameter space");
+             what + " header arity does not match the parameter space");
   const auto names = space.names();
-  for (std::size_t p = 0; p < names.size(); ++p)
+  for (std::size_t p = 0; p < np; ++p)
     PT_REQUIRE(header[p] == names[p],
-               "trace parameter '" + header[p] +
+               what + " parameter '" + header[p] +
                    "' does not match space parameter '" + names[p] + "'");
 
   std::size_t row = 0;
   while (std::getline(in, line)) {
     ++row;
     if (line.empty()) continue;
+    const auto where = [&] { return what + " row " + std::to_string(row); };
     const auto cells = split_csv(line);
-    PT_REQUIRE(cells.size() == columns,
-               "trace row " + std::to_string(row) + " has wrong arity");
-    ParamConfig config(space.num_params());
-    for (std::size_t p = 0; p < space.num_params(); ++p)
+    PT_REQUIRE(cells.size() == columns, where() + " has wrong arity");
+    ParamConfig config(np);
+    for (std::size_t p = 0; p < np; ++p)
       config[p] = value_to_index(space, p, std::stod(cells[p]), row);
-    const double seconds = std::stod(cells[space.num_params()]);
+    const double seconds = std::stod(cells[np]);
     PT_REQUIRE(std::isfinite(seconds) && seconds >= 0.0,
-               "trace row " + std::to_string(row) + " has a bad run time");
-    const auto draw =
-        static_cast<std::size_t>(std::stoull(cells[space.num_params() + 1]));
-    // v1 rows carry no wall-clock timestamp: restore as 0 ("unknown")
-    // rather than stamping load time.
-    const double wall =
-        version >= 2 ? std::stod(cells[space.num_params() + 2]) : 0.0;
-    trace.record(std::move(config), seconds, draw, wall);
+               where() + " has a bad run time");
+    const std::size_t tail = format.elapsed ? np + 2 : np + 1;
+    const auto draw = static_cast<std::size_t>(std::stoull(cells[tail]));
+    const double wall = std::stod(cells[tail + 1]);
+    if (format.elapsed) {
+      const double elapsed = std::stod(cells[np + 1]);
+      PT_REQUIRE(std::isfinite(elapsed) && elapsed >= 0.0,
+                 where() + " has a bad elapsed time");
+      trace.restore_entry(std::move(config), seconds, elapsed, draw, wall);
+    } else {
+      trace.record(std::move(config), seconds, draw, wall);
+    }
   }
   return trace;
 }
 
+std::string encode_checkpoint(const SearchCheckpoint& snapshot,
+                              const ParamSpace& space) {
+  const SearchTrace& trace = snapshot.trace;
+  return encode(kCheckpoint, trace, space, [&](std::ostream& os) {
+    os << "# draws," << snapshot.draws << "\n";
+    os << "# clock," << trace.total_time() << "\n";
+    os << "# stop," << trace.stop_reason() << "\n";
+    const FailureStats& fs = trace.failure_stats();
+    os << "# stats," << fs.attempts << "," << fs.failures << ","
+       << fs.transient << "," << fs.deterministic << "," << fs.timeouts
+       << "," << fs.overhead_seconds << "\n";
+    // Both rows are absent when empty, so checkpoints of the
+    // free-function searches (which never suggest) carry no `# pending`.
+    if (!snapshot.quarantine.empty()) {
+      os << "# quarantine";
+      for (const auto h : snapshot.quarantine) os << "," << hex16(h);
+      os << "\n";
+    }
+    if (!snapshot.pending.empty()) {
+      os << "# pending";
+      for (const auto& [hash, draw] : snapshot.pending)
+        os << "," << hex16(hash) << ":" << draw;
+      os << "\n";
+    }
+  });
+}
+
+std::ifstream open_for_read(const std::string& path, const char* what) {
+  std::ifstream is(path);
+  PT_REQUIRE(is.good(),
+             std::string("cannot open ") + what + " file: " + path);
+  return is;
+}
+
+}  // namespace
+
+void save_trace_csv(std::ostream& os, const SearchTrace& trace,
+                    const ParamSpace& space) {
+  os << encode(kTrace, trace, space, nullptr);
+}
+
+void save_trace_csv(const std::string& path, const SearchTrace& trace,
+                    const ParamSpace& space) {
+  // Crash-safe replacement: a kill mid-save leaves the previous trace
+  // file intact, never a torn one the checksum loader would (correctly
+  // but uselessly) reject.
+  atomic_write_file(path, encode(kTrace, trace, space, nullptr));
+}
+
+SearchTrace load_trace_csv(std::istream& is, const ParamSpace& space) {
+  return decode(kTrace, is, space, nullptr);
+}
+
 SearchTrace load_trace_csv(const std::string& path,
                            const ParamSpace& space) {
-  std::ifstream is(path);
-  PT_REQUIRE(is.good(), "cannot open trace file: " + path);
+  auto is = open_for_read(path, "trace");
   return load_trace_csv(is, space);
 }
 
 void save_checkpoint_csv(std::ostream& os, const SearchCheckpoint& snapshot,
                          const ParamSpace& space) {
-  const SearchTrace& trace = snapshot.trace;
-  // v3 appends a checksum footer (v2 added the wall_unix column);
-  // load_checkpoint_csv reads all three.
-  std::ostringstream payload;
-  payload.precision(17);
-  payload << "# portatune-checkpoint v3," << trace.algorithm() << ","
-          << trace.problem() << "," << trace.machine() << "\n";
-  payload << "# draws," << snapshot.draws << "\n";
-  payload << "# clock," << trace.total_time() << "\n";
-  payload << "# stop," << trace.stop_reason() << "\n";
-  const FailureStats& fs = trace.failure_stats();
-  payload << "# stats," << fs.attempts << "," << fs.failures << ","
-          << fs.transient << "," << fs.deterministic << "," << fs.timeouts
-          << "," << fs.overhead_seconds << "\n";
-  if (!snapshot.quarantine.empty()) {
-    payload << "# quarantine";
-    for (const auto h : snapshot.quarantine) payload << "," << hex16(h);
-    payload << "\n";
-  }
-  if (!snapshot.pending.empty()) {
-    // Row absent when empty, so checkpoints from the free-function
-    // searches (which never suggest) are byte-identical to before.
-    payload << "# pending";
-    for (const auto& [hash, draw] : snapshot.pending)
-      payload << "," << hex16(hash) << ":" << draw;
-    payload << "\n";
-  }
-  const auto names = space.names();
-  for (const auto& n : names) payload << n << ",";
-  payload << "seconds,elapsed,draw_index,wall_unix\n";
-  for (const auto& e : trace.entries()) {
-    const auto features = space.features(e.config);
-    for (double v : features) payload << v << ",";
-    payload << e.seconds << "," << e.elapsed << "," << e.draw_index << ","
-            << e.wall_unix << "\n";
-  }
-  os << append_checksum_footer(payload.str());
+  os << encode_checkpoint(snapshot, space);
 }
 
 void save_checkpoint_csv(const std::string& path,
@@ -195,58 +213,23 @@ void save_checkpoint_csv(const std::string& path,
                          const ParamSpace& space) {
   // Crash-safe replacement (write-temp + fsync + rename + dir fsync):
   // a kill at any instant leaves the previous checkpoint whole.
-  std::ostringstream os;
-  save_checkpoint_csv(os, snapshot, space);
-  atomic_write_file(path, os.str());
+  atomic_write_file(path, encode_checkpoint(snapshot, space));
 }
 
 SearchCheckpoint load_checkpoint_csv(std::istream& is,
                                      const ParamSpace& space) {
-  // Checksum verification first (v3): a resumed run must never proceed
-  // from a checkpoint whose bytes cannot be trusted.
-  std::string content = read_all(is);
-  PT_REQUIRE(!content.empty(), "empty checkpoint file");
-  if (content.rfind("# portatune-checkpoint v3,", 0) == 0)
-    content = verify_v3_payload(content, "checkpoint");
-  std::istringstream in(content);
-
-  std::string line;
-  PT_REQUIRE(std::getline(in, line), "empty checkpoint file");
-  // v1 files predate the wall_unix column; all versions load.
-  int version = 0;
-  if (line.rfind("# portatune-checkpoint v1,", 0) == 0) version = 1;
-  else if (line.rfind("# portatune-checkpoint v2,", 0) == 0) version = 2;
-  else if (line.rfind("# portatune-checkpoint v3,", 0) == 0) version = 3;
-  PT_REQUIRE(version != 0, "not a portatune checkpoint (bad magic line)");
-  const auto meta = split_csv(line.substr(std::string("# ").size()));
-  PT_REQUIRE(meta.size() == 4, "malformed checkpoint metadata");
-
   SearchCheckpoint snapshot;
-  snapshot.trace = SearchTrace(meta[1], meta[2], meta[3]);
-  SearchTrace& trace = snapshot.trace;
-
   double clock = 0.0;
   FailureStats fs;
-  std::string header_line;
-  // Metadata rows run until the first non-"# " line (the column header).
-  while (std::getline(in, line)) {
-    if (line.rfind("# ", 0) != 0) {
-      header_line = line;
-      break;
-    }
-    const std::string body = line.substr(2);
-    const auto comma = body.find(',');
-    const std::string key = body.substr(0, comma);
-    const std::string rest =
-        comma == std::string::npos ? std::string() : body.substr(comma + 1);
+  std::string stop;
+  snapshot.trace = decode(kCheckpoint, is, space, [&](const std::string& key,
+                                                      const std::string& rest) {
     if (key == "draws") {
       snapshot.draws = static_cast<std::size_t>(std::stoull(rest));
     } else if (key == "clock") {
       clock = std::stod(rest);
     } else if (key == "stop") {
-      // restore_stop_reason, not set_stop_reason: loading a checkpoint of
-      // an aborted search must not re-announce the abort (no event/flush).
-      if (!rest.empty()) trace.restore_stop_reason(rest);
+      stop = rest;
     } else if (key == "stats") {
       const auto cells = split_csv(rest);
       PT_REQUIRE(cells.size() == 6, "malformed checkpoint stats row");
@@ -271,44 +254,11 @@ SearchCheckpoint load_checkpoint_csv(std::istream& is,
     } else {
       throw Error("unknown checkpoint metadata key: " + key);
     }
-  }
-
-  PT_REQUIRE(!header_line.empty(), "missing checkpoint header row");
-  const std::size_t columns =
-      space.num_params() + (version >= 2 ? 4 : 3);
-  const auto header = split_csv(header_line);
-  PT_REQUIRE(header.size() == columns,
-             "checkpoint header arity does not match the parameter space");
-  const auto names = space.names();
-  for (std::size_t p = 0; p < names.size(); ++p)
-    PT_REQUIRE(header[p] == names[p],
-               "checkpoint parameter '" + header[p] +
-                   "' does not match space parameter '" + names[p] + "'");
-
-  std::size_t row = 0;
-  while (std::getline(in, line)) {
-    ++row;
-    if (line.empty()) continue;
-    const auto cells = split_csv(line);
-    PT_REQUIRE(cells.size() == columns,
-               "checkpoint row " + std::to_string(row) + " has wrong arity");
-    ParamConfig config(space.num_params());
-    for (std::size_t p = 0; p < space.num_params(); ++p)
-      config[p] = value_to_index(space, p, std::stod(cells[p]), row);
-    const double seconds = std::stod(cells[space.num_params()]);
-    const double elapsed = std::stod(cells[space.num_params() + 1]);
-    PT_REQUIRE(std::isfinite(seconds) && seconds >= 0.0,
-               "checkpoint row " + std::to_string(row) +
-                   " has a bad run time");
-    PT_REQUIRE(std::isfinite(elapsed) && elapsed >= 0.0,
-               "checkpoint row " + std::to_string(row) +
-                   " has a bad elapsed time");
-    const auto draw =
-        static_cast<std::size_t>(std::stoull(cells[space.num_params() + 2]));
-    const double wall =
-        version >= 2 ? std::stod(cells[space.num_params() + 3]) : 0.0;
-    trace.restore_entry(std::move(config), seconds, elapsed, draw, wall);
-  }
+  });
+  SearchTrace& trace = snapshot.trace;
+  // restore_stop_reason, not set_stop_reason: loading a checkpoint of an
+  // aborted search must not re-announce the abort (no event/flush).
+  if (!stop.empty()) trace.restore_stop_reason(stop);
   trace.restore_failure_stats(fs);
   trace.restore_clock(clock);
   PT_REQUIRE(snapshot.draws >= trace.size(),
@@ -318,8 +268,7 @@ SearchCheckpoint load_checkpoint_csv(std::istream& is,
 
 SearchCheckpoint load_checkpoint_csv(const std::string& path,
                                      const ParamSpace& space) {
-  std::ifstream is(path);
-  PT_REQUIRE(is.good(), "cannot open checkpoint file: " + path);
+  auto is = open_for_read(path, "checkpoint");
   return load_checkpoint_csv(is, space);
 }
 

@@ -7,21 +7,26 @@
 // comment row carries algorithm/problem/machine metadata) and load it
 // back against a ParamSpace, validating that the space matches.
 //
-// Format:
-//   # portatune-trace v1,<algorithm>,<problem>,<machine>
-//   <param0>,<param1>,...,seconds,draw_index
-//   32,256,4,...,0.3412,17
+// Format (v3, the only version read or written):
+//   # portatune-trace v3,<algorithm>,<problem>,<machine>
+//   <param0>,<param1>,...,seconds,draw_index,wall_unix
+//   32,256,4,...,0.3412,17,1712000000.25
+//   # checksum,<16 hex digits>
 //
 // Values are written as parameter *values* (like the surrogate features),
 // not indices, so traces stay meaningful if a space is re-declared with
-// the same values in a different construction order per parameter.
+// the same values in a different construction order per parameter. The
+// final `# checksum` footer carries the FNV-1a hash of every byte before
+// it (support/checksum.hpp). Loaders verify it before reading anything
+// else, so a truncated or bit-flipped file fails with a checksum
+// diagnostic instead of silently resuming from garbage.
 //
 // Checkpoints extend the trace format with the sampler and resilience
-// state needed to resume an interrupted search exactly (same magic-line
-// convention; extra `# key,...` metadata rows; rows carry the original
-// elapsed timestamp so the resumed clock is bitwise-identical):
+// state needed to resume an interrupted search exactly (extra `# key,...`
+// metadata rows; rows carry the original elapsed timestamp so the
+// resumed clock is bitwise-identical):
 //
-//   # portatune-checkpoint v1,<algorithm>,<problem>,<machine>
+//   # portatune-checkpoint v3,<algorithm>,<problem>,<machine>
 //   # draws,<stream draws consumed>
 //   # clock,<search clock seconds>
 //   # stop,<stop reason or empty>
@@ -30,16 +35,12 @@
 //   # pending,<hex hash>:<draw>,...                 (row absent when empty;
 //                                                    session suggestions not
 //                                                    yet reported)
-//   <param0>,...,seconds,elapsed,draw_index
+//   <param0>,...,seconds,elapsed,draw_index,wall_unix
+//   ...rows...
+//   # checksum,<16 hex digits>
 //
-// Version history (loaders accept every version; writers emit the
-// newest):
-//   v1  original format above
-//   v2  rows gain a trailing wall_unix column
-//   v3  a final `# checksum,<16 hex digits>` footer carries the FNV-1a
-//       hash of every byte before it, so loaders reject truncated or
-//       bit-flipped files with a checksum diagnostic instead of silently
-//       resuming from garbage
+// Older files (v1 without the wall_unix column, v2 without the footer)
+// are rejected with a portatune::Error, like any file without a footer.
 #pragma once
 
 #include <iosfwd>

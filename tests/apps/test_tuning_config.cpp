@@ -1,6 +1,6 @@
 // TuningConfig: the single composition point for a run. Validation must
 // reject impossible configurations loudly, and every producer must
-// assemble its legacy struct exactly as the hand-wired drivers used to.
+// assemble its struct exactly as the hand-wired drivers used to.
 #include "apps/tuning_config.hpp"
 
 #include <gtest/gtest.h>
@@ -79,8 +79,7 @@ TEST(TuningConfigTest, ProducersAssembleTheLegacyStructsConsistently) {
   EXPECT_DOUBLE_EQ(s.delta_percent, 15.0);
   EXPECT_EQ(s.seed, 99u);
 
-  const tuner::ParallelOptions p = cfg.parallel_options();
-  EXPECT_EQ(p.threads, 4u);
+  EXPECT_EQ(cfg.stack_options().eval_threads, 4u);
 
   const tuner::SessionOptions so = cfg.session_options("svc-1");
   EXPECT_EQ(so.id, "svc-1");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "support/checksum.hpp"
@@ -12,10 +14,14 @@ namespace {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
+  // One directory per case: ctest runs each case as its own process, so
+  // a name shared across processes would let one case's TearDown delete
+  // another's files mid-test.
   void SetUp() override {
+    static int counter = 0;
     dir_ = std::filesystem::temp_directory_path() /
-           ("portatune_atomic_file_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+           ("portatune_atomic_file_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter++));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

@@ -1,13 +1,14 @@
 // Fuzz-style persistence hardening tests: every loader must reject a
 // truncated or bit-flipped file with a portatune::Error (the v3 checksum
 // footer, see persistence.hpp), never crash, and never silently return a
-// partial trace a resumed search would then diverge from. Legacy v1/v2
-// files carry no footer and must keep loading.
+// partial trace a resumed search would then diverge from. Files of the
+// older formats (v1/v2, no footer) are rejected the same way.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/persistence.hpp"
@@ -65,10 +66,9 @@ TEST(Corruption, TraceToleratesOnlyAMissingFinalNewline) {
 TEST(Corruption, TraceRejectsEverySingleByteFlip) {
   QuadraticEvaluator eval("M", {5, 5, 5, 5}, {1, 1, 1, 1});
   const std::string bytes = sample_trace_bytes(eval, 12);
-  // Flips inside the payload trip the checksum; flips inside the footer
-  // itself make the footer malformed or mismatched; flips in the magic
-  // line either break the magic or downgrade the version, leaving a
-  // stray "# checksum" row the legacy parsers reject. All must throw.
+  // Flips inside the payload, the magic line included, trip the
+  // checksum; flips inside the footer itself make the footer malformed
+  // or mismatched. All must throw.
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
     std::string mutated = bytes;
     mutated[pos] ^= 0x01;
@@ -110,46 +110,42 @@ TEST(Corruption, CheckpointRoundTripsThroughTheChecksum) {
   EXPECT_EQ(snapshot.quarantine.size(), 2u);
 }
 
-TEST(Corruption, LegacyV1TraceStillLoads) {
+TEST(Corruption, LegacyAndFooterlessFilesAreRejected) {
   QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+  const auto rejects_trace = [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    EXPECT_THROW(load_trace_csv(in, eval.space()), Error) << bytes;
+  };
+  const auto rejects_checkpoint = [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    EXPECT_THROW(load_checkpoint_csv(in, eval.space()), Error) << bytes;
+  };
+  const std::string v1_trace =
       "# portatune-trace v1,RS,quadratic,M\n"
       "p0,p1,p2,p3,seconds,draw_index\n"
-      "1,2,3,4,1.5,0\n"
-      "4,3,2,1,2.5,3\n");
-  const auto trace = load_trace_csv(in, eval.space());
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).seconds, 1.5);
-  EXPECT_EQ(trace.entry(1).draw_index, 3u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).wall_unix, 0.0);  // v1: unknown
-}
-
-TEST(Corruption, LegacyV2TraceStillLoads) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+      "1,2,3,4,1.5,0\n";
+  const std::string v2_trace =
       "# portatune-trace v2,RS,quadratic,M\n"
       "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
-      "1,2,3,4,1.5,0,1700000000.25\n");
-  const auto trace = load_trace_csv(in, eval.space());
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).wall_unix, 1700000000.25);
-}
-
-TEST(Corruption, LegacyV2CheckpointStillLoads) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+      "1,2,3,4,1.5,0,1700000000.25\n";
+  const std::string v2_checkpoint =
       "# portatune-checkpoint v2,RS,quadratic,M\n"
       "# draws,5\n"
       "# clock,1.25\n"
       "# stop,\n"
       "# stats,4,1,1,0,0,0.5\n"
       "p0,p1,p2,p3,seconds,elapsed,draw_index,wall_unix\n"
-      "1,2,3,4,1.5,0.5,0,1700000000\n"
-      "4,3,2,1,2.5,1.0,2,1700000001\n");
-  const auto snapshot = load_checkpoint_csv(in, eval.space());
-  EXPECT_EQ(snapshot.trace.size(), 2u);
-  EXPECT_EQ(snapshot.draws, 5u);
-  EXPECT_EQ(snapshot.trace.failure_stats().failures, 1u);
+      "1,2,3,4,1.5,0.5,0,1700000000\n";
+  // As they were written: no footer.
+  rejects_trace(v1_trace);
+  rejects_trace(v2_trace);
+  rejects_checkpoint(v2_checkpoint);
+  // Sealed with a valid footer, the version is still refused.
+  rejects_trace(append_checksum_footer(v2_trace));
+  rejects_checkpoint(append_checksum_footer(v2_checkpoint));
+  // A v3 file whose footer was cut off.
+  const std::string v3 = sample_trace_bytes(eval, 4);
+  rejects_trace(v3.substr(0, v3.rfind("# checksum,")));
 }
 
 TEST(Corruption, ForgedFooterIsRejected) {

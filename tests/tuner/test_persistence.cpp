@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
+#include "support/atomic_file.hpp"
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/random_search.hpp"
@@ -108,22 +111,109 @@ TEST(Persistence, RejectsMismatchedSpace) {
   EXPECT_THROW(load_trace_csv(buf, other), Error);
 }
 
-TEST(Persistence, RejectsValuesOutsideTheDomain) {
+/// Load `payload` sealed with a valid footer, so the loader gets past the
+/// checksum, and expect the Error to name `needle`.
+void expect_trace_rejected(const std::string& payload,
+                           const std::string& needle) {
   QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-trace v1,RS,quadratic,M\n"
-      "p0,p1,p2,p3,seconds,draw_index\n"
-      "99,0,0,0,1.5,0\n");  // 99 is not a value of p0 (0..9)
-  EXPECT_THROW(load_trace_csv(buf, eval.space()), Error);
+  std::stringstream buf(append_checksum_footer(payload));
+  try {
+    load_trace_csv(buf, eval.space());
+    ADD_FAILURE() << "loaded a trace that should fail with: " << needle;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Persistence, RejectsValuesOutsideTheDomain) {
+  expect_trace_rejected(
+      "# portatune-trace v3,RS,quadratic,M\n"
+      "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
+      "99,0,0,0,1.5,0,0\n",  // 99 is not a value of p0 (0..9)
+      "not in the domain of parameter p0");
 }
 
 TEST(Persistence, RejectsNegativeRunTimes) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-trace v1,RS,quadratic,M\n"
-      "p0,p1,p2,p3,seconds,draw_index\n"
-      "1,2,3,4,-1.0,0\n");
-  EXPECT_THROW(load_trace_csv(buf, eval.space()), Error);
+  expect_trace_rejected(
+      "# portatune-trace v3,RS,quadratic,M\n"
+      "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
+      "1,2,3,4,-1.0,0,0\n",
+      "bad run time");
+}
+
+/// The quadratic test space plus one parameter with fractional, tiny and
+/// huge values, so the golden files pin how features are formatted too.
+ParamSpace golden_space() {
+  ParamSpace space = testing::grid_space(4);
+  space.add("scale", {2.5e-7, 0.125, 1.0 / 3.0, 1e21});
+  return space;
+}
+
+/// A fixed snapshot (no RNG, no wall clock) that fills every row kind:
+/// a stop reason holding a comma, non-zero stats, quarantine and pending.
+SearchCheckpoint golden_checkpoint() {
+  SearchCheckpoint ck;
+  ck.trace = SearchTrace("RS_b", "quadratic", "M");
+  ck.trace.restore_entry({1, 2, 3, 4, 0}, 0.1, 0.1, 0, 1700000000.125);
+  ck.trace.restore_entry({9, 0, 5, 5, 2}, 2.0 / 3.0, 0.85, 3, 1700000001.5);
+  ck.trace.restore_entry({0, 0, 0, 0, 3}, 1e-9, 1.25, 6, 0.0);
+  ck.trace.restore_stop_reason("failure budget exhausted: 3 failures, 4 total");
+  FailureStats fs;
+  fs.attempts = 9;
+  fs.failures = 4;
+  fs.transient = 2;
+  fs.deterministic = 1;
+  fs.timeouts = 1;
+  fs.overhead_seconds = 0.375;
+  ck.trace.restore_failure_stats(fs);
+  ck.trace.restore_clock(1.625);
+  ck.draws = 8;
+  ck.quarantine = {0xdeadbeefULL, 0x0123456789abcdefULL};
+  ck.pending = {{0xfeedfaceULL, 7}};
+  return ck;
+}
+
+/// Byte-compare against tests/data/<name>. On a mismatch the actual
+/// bytes are left in the test temp directory; after a deliberate format
+/// change, copy that file over the golden one.
+void expect_golden(const std::string& actual, const std::string& name) {
+  const std::string golden = read_file(PORTATUNE_TEST_DATA_DIR "/" + name);
+  if (actual == golden) return;
+  const std::string out = ::testing::TempDir() + name;
+  std::ofstream(out, std::ios::binary) << actual;
+  ADD_FAILURE() << name << " differs from its golden file; got " << out;
+}
+
+TEST(Persistence, SavedBytesMatchTheGoldenFiles) {
+  const ParamSpace space = golden_space();
+  const SearchCheckpoint ck = golden_checkpoint();
+
+  std::ostringstream trace_bytes;
+  save_trace_csv(trace_bytes, ck.trace, space);
+  expect_golden(trace_bytes.str(), "golden_trace.csv");
+
+  std::ostringstream checkpoint_bytes;
+  save_checkpoint_csv(checkpoint_bytes, ck, space);
+  expect_golden(checkpoint_bytes.str(), "golden_checkpoint.csv");
+
+  // Both files load back to what was saved.
+  std::istringstream trace_in(trace_bytes.str());
+  const SearchTrace trace = load_trace_csv(trace_in, space);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace.entry(1).config, ck.trace.entry(1).config);
+  EXPECT_EQ(trace.entry(2).draw_index, 6u);
+
+  std::istringstream checkpoint_in(checkpoint_bytes.str());
+  const SearchCheckpoint loaded = load_checkpoint_csv(checkpoint_in, space);
+  EXPECT_EQ(loaded.trace.stop_reason(), ck.trace.stop_reason());
+  EXPECT_EQ(loaded.trace.failure_stats().timeouts, 1u);
+  EXPECT_EQ(loaded.quarantine, ck.quarantine);
+  EXPECT_EQ(loaded.pending, ck.pending);
+  EXPECT_DOUBLE_EQ(loaded.trace.entry(1).elapsed, 0.85);
+  std::ostringstream again;
+  save_checkpoint_csv(again, loaded, space);
+  EXPECT_EQ(again.str(), checkpoint_bytes.str());
 }
 
 TEST(Persistence, MissingFileThrows) {

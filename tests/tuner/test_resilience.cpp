@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/persistence.hpp"
@@ -332,15 +333,28 @@ TEST(Checkpoint, ResumeRestoresTheFailureBudget) {
 }
 
 TEST(Checkpoint, LoaderRejectsCorruptInput) {
+  // Both inputs carry a valid footer, so each fails on its content.
   const auto space = testing::grid_space(4);
-  std::stringstream not_a_checkpoint("# portatune-trace v1,RS,q,A\n");
-  EXPECT_THROW(load_checkpoint_csv(not_a_checkpoint, space), Error);
-
-  std::stringstream wrong_space(
-      "# portatune-checkpoint v1,RS,q,A\n"
+  const auto expect_rejected = [&](const std::string& payload,
+                                   const std::string& needle) {
+    std::stringstream in(append_checksum_footer(payload));
+    try {
+      load_checkpoint_csv(in, space);
+      ADD_FAILURE() << "loaded a checkpoint that should fail: " << needle;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(
+      "# portatune-trace v3,RS,q,A\n"
+      "p0,p1,p2,p3,seconds,draw_index,wall_unix\n",
+      "bad magic line");
+  expect_rejected(
+      "# portatune-checkpoint v3,RS,q,A\n"
       "# draws,5\n"
-      "bogus,seconds,elapsed,draw_index\n");
-  EXPECT_THROW(load_checkpoint_csv(wrong_space, space), Error);
+      "bogus,p1,p2,p3,seconds,elapsed,draw_index,wall_unix\n",
+      "does not match space parameter 'p0'");
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST(SessionAdapter, WarmSessionSteppedToExhaustionIsBiasedSearch) {
       auto stack_rsb = cfg.make_stack(apps::StackRole::Target);
       BiasedSearchOptions b_opt;
       static_cast<SearchCommon&>(b_opt) = cfg.search_common();
-      b_opt.pool_size = cfg.pool_size();
+      b_opt.pool_size = cfg.search().pool_size;
       ASSERT_FALSE(b_opt.guard.enabled);
       const SearchTrace rsb = biased_random_search(*stack_rsb, *model, b_opt);
 
